@@ -131,8 +131,11 @@ var PipelineChunkCounts = []int{0, 4, 16}
 // the unpipelined step serializes encode → wire → decode back to back at the
 // end of backward — exactly the span tensor fusion creates and chunk
 // pipelining reclaims (§III-B): with PipelineChunks>0 chunk c rides the wire
-// while chunk c+1 is encoding and chunk c-1 is decoding. GOMAXPROCS and
-// serial kernels are pinned as in overlapStepCase.
+// while chunk c+1 is encoding and chunk c-1 is decoding. Tensor kernels are
+// pinned serial (one compute stream per "node") and GOMAXPROCS is raised
+// above the worker count: QSGD's encode and decode sweeps are not cooperative
+// yield points, so the communication goroutines need a spare P to forward
+// chunk c while chunk c+1 encodes.
 func pipelinedStepCase(chunks int) func(b *testing.B) {
 	return func(b *testing.B) {
 		const (
@@ -150,7 +153,9 @@ func pipelinedStepCase(chunks int) func(b *testing.B) {
 			BatchPerWorker: 4,
 			Epochs:         1,
 			Momentum:       0.9,
-			Schedule:       train.Schedule{BaseLR: 0.05},
+			// QSGD quantizes the whole model as one buffer, batch 4: larger
+			// rates diverge to non-finite norms within a few hundred steps.
+			Schedule:       train.Schedule{BaseLR: 0.001},
 			PipelineChunks: chunks,
 			Seed:           7,
 			NewTransports: func(p int) ([]comm.Transport, error) {
@@ -175,6 +180,8 @@ func pipelinedStepCase(chunks int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer cluster.Close()
+		// Cluster.Step trains at learning rate 0 until told otherwise.
+		cluster.SetLR(cfg.Schedule.BaseLR)
 		if _, err := cluster.Step(); err != nil { // warm pools and compressor state
 			b.Fatal(err)
 		}
@@ -243,11 +250,10 @@ var OverlapModes = []train.Overlap{train.OverlapOn, train.OverlapOff}
 //   - A deep stack of uniform layers with a small fusion budget makes one
 //     bucket per weight matrix, sealing (and launching) throughout backward
 //     rather than only at its end.
-//   - Tensor kernels are pinned serial and GOMAXPROCS is raised above the
-//     worker count, modeling one compute stream per "node" and leaving the
-//     per-rank communication goroutines runnable the moment a message
-//     lands — without a spare P their wakeups quantize to the preemption
-//     interval and the overlap disappears into scheduler latency.
+//   - Tensor kernels are pinned serial, modeling one compute stream per
+//     "node". GOMAXPROCS is left alone: at GOMAXPROCS = workers the compute
+//     streams saturate every P and the communication goroutines run at the
+//     kernels' cooperative yield points (package coop).
 func overlapStepCase(mode train.Overlap) func(b *testing.B) {
 	return func(b *testing.B) {
 		const (
@@ -256,7 +262,6 @@ func overlapStepCase(mode train.Overlap) func(b *testing.B) {
 			hidden   = 256
 			classes  = 10
 		)
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2*workers, runtime.GOMAXPROCS(0))))
 		defer tensor.SetParallelism(tensor.SetParallelism(1))
 		trainSet := data.GaussianMixture(31, 512, features, classes, 1.0)
 		cfg := train.Config{
@@ -288,6 +293,8 @@ func overlapStepCase(mode train.Overlap) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer cluster.Close()
+		// Cluster.Step trains at learning rate 0 until told otherwise.
+		cluster.SetLR(cfg.Schedule.BaseLR)
 		if _, err := cluster.Step(); err != nil { // warm pools and compressor state
 			b.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"acpsgd/internal/coop"
 )
 
 // Pending is the handle of an in-flight asynchronous collective launched by
@@ -62,6 +64,14 @@ type asyncOp struct {
 	finish func(error)
 }
 
+// complete finishes a queued op's handle. The op leaves the in-flight gauge
+// (see package coop) first, so a caller that has waited every handle it holds
+// observes the gauge without its operations.
+func (op asyncOp) complete(err error) {
+	coop.End()
+	op.finish(err)
+}
+
 // AsyncCommunicator layers handle-based asynchronous collectives over a
 // Communicator. Operations submitted from any goroutine are launched one at
 // a time, in submission order, on a dedicated communication goroutine — the
@@ -72,6 +82,13 @@ type asyncOp struct {
 // The payload path is the Communicator's: leased send buffers, SendNoCopy,
 // fused decode+reduce — steady-state collectives stay allocation-free; each
 // submission allocates only its small Pending handle.
+//
+// The AsyncCommunicator owns the process-wide in-flight gauge of package
+// coop: every queued operation (pipelined gathers included) raises it at
+// submit and lowers it when its handle finishes, whether it ran, failed or
+// was abandoned with ErrClosed. While the gauge is up the compute stream
+// yields at its work quanta, which is what lets this goroutine run without a
+// spare P.
 //
 // Shutdown: Close stops the launch loop and fails every queued-but-
 // unlaunched operation with ErrClosed, so Wait never deadlocks on an
@@ -252,6 +269,7 @@ func (a *AsyncCommunicator) submit(op asyncOp) {
 		op.finish(ErrClosed)
 		return
 	}
+	coop.Begin()
 	a.queue = append(a.queue, op)
 	a.cond.Signal()
 	a.mu.Unlock()
@@ -273,14 +291,14 @@ func (a *AsyncCommunicator) loop() {
 			a.queue = nil
 			a.mu.Unlock()
 			for _, op := range pending {
-				op.finish(ErrClosed)
+				op.complete(ErrClosed)
 			}
 			return
 		}
 		op := a.queue[0]
 		a.queue = a.queue[1:]
 		a.mu.Unlock()
-		op.finish(op.run())
+		op.complete(op.run())
 	}
 }
 

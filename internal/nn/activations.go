@@ -150,10 +150,11 @@ func (r *Residual) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward propagates through the inner stack and adds the skip gradient.
 func (r *Residual) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	d := dout
-	for i := len(r.inner) - 1; i >= 0; i-- {
-		d = r.inner[i].Backward(d)
-	}
+	return r.backwardHooked(dout, noHook)
+}
+
+func (r *Residual) backwardHooked(dout *tensor.Matrix, hook GradHook) *tensor.Matrix {
+	d := backwardStack(r.inner, dout, hook)
 	if r.dx == nil || r.dx.Rows != dout.Rows || r.dx.Cols != dout.Cols {
 		r.dx = tensor.New(dout.Rows, dout.Cols)
 	}

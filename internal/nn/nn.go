@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 
+	"acpsgd/internal/coop"
 	"acpsgd/internal/tensor"
 )
 
@@ -46,6 +47,40 @@ type Layer interface {
 // GradHook is invoked during back-propagation as soon as a parameter's
 // gradient is fully computed (wait-free back-propagation attachment point).
 type GradHook func(p *Param)
+
+// hookedLayer is implemented by the composite layers (Residual,
+// Positionwise, SelfAttention), whose backward pass reports each parameter
+// the moment its sub-module's gradient lands instead of when the whole block
+// returns. The order is the one Model.BackwardHooked promises for any layer:
+// the reverse of Params(). hook is never nil (see noHook).
+type hookedLayer interface {
+	backwardHooked(dout *tensor.Matrix, hook GradHook) *tensor.Matrix
+}
+
+// noHook is the GradHook of a backward pass nobody listens to.
+func noHook(*Param) {}
+
+// backwardLayer runs one layer's backward pass and reports its parameters to
+// hook, last parameter first.
+func backwardLayer(l Layer, dout *tensor.Matrix, hook GradHook) *tensor.Matrix {
+	if h, ok := l.(hookedLayer); ok {
+		return h.backwardHooked(dout, hook)
+	}
+	dout = l.Backward(dout)
+	ps := l.Params()
+	for j := len(ps) - 1; j >= 0; j-- {
+		hook(ps[j])
+	}
+	return dout
+}
+
+// backwardStack back-propagates through a composite layer's inner stack.
+func backwardStack(inner []Layer, d *tensor.Matrix, hook GradHook) *tensor.Matrix {
+	for i := len(inner) - 1; i >= 0; i-- {
+		d = backwardLayer(inner[i], d, hook)
+	}
+	return d
+}
 
 // LayerHook is invoked during back-propagation after one layer's backward
 // pass and all of its parameter GradHooks have completed. li is the layer's
@@ -94,9 +129,9 @@ func (m *Model) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward runs the backward pass from the loss gradient. If hook is
-// non-nil it is invoked for every parameter of a layer right after that
-// layer's backward completes, in reverse layer order — gradients of later
-// layers are ready first, exactly the WFBP schedule of Fig. 1(b).
+// non-nil it is invoked for every parameter as soon as its gradient has
+// landed, in reverse layer order — gradients of later layers are ready
+// first, exactly the WFBP schedule of Fig. 1(b).
 func (m *Model) Backward(dout *tensor.Matrix, hook GradHook) {
 	m.BackwardHooked(dout, hook, nil)
 }
@@ -104,21 +139,24 @@ func (m *Model) Backward(dout *tensor.Matrix, hook GradHook) {
 // BackwardHooked is Backward with an additional per-layer readiness hook:
 // after each layer's backward completes and its parameter hooks have fired,
 // layerHook (when non-nil) receives the layer. Either hook may be nil.
+//
+// Parameters are reported in strict "last parameter first" order (a layer's
+// in reverse declaration order); composite layers report each sub-module's
+// parameters as its gradient lands rather than at the end of the block. Each
+// layer boundary is a cooperative yield point (package coop): a hook that
+// just launched a collective gets its communication goroutine run at once,
+// and layers without a matmul still let the communication stream in.
 func (m *Model) BackwardHooked(dout *tensor.Matrix, hook GradHook, layerHook LayerHook) {
+	if hook == nil {
+		hook = noHook
+	}
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		l := m.layers[i]
-		dout = l.Backward(dout)
-		if hook != nil {
-			// A layer's params are reported in reverse declaration order so
-			// the overall hook order is strictly "last parameter first".
-			ps := l.Params()
-			for j := len(ps) - 1; j >= 0; j-- {
-				hook(ps[j])
-			}
-		}
+		dout = backwardLayer(l, dout, hook)
 		if layerHook != nil {
 			layerHook(i, l)
 		}
+		coop.Yield()
 	}
 }
 

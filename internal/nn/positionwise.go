@@ -58,14 +58,15 @@ func (p *Positionwise) Forward(x *tensor.Matrix) *tensor.Matrix {
 // backpropagates through the stack, and reshapes the input gradient back to
 // [batch, seq*dim].
 func (p *Positionwise) Backward(dout *tensor.Matrix) *tensor.Matrix {
+	return p.backwardHooked(dout, noHook)
+}
+
+func (p *Positionwise) backwardHooked(dout *tensor.Matrix, hook GradHook) *tensor.Matrix {
 	batch := dout.Rows
 	seq := p.lastSeq
 	if seq == 0 || dout.Cols%seq != 0 {
 		panic(fmt.Sprintf("nn: %s backward before forward or bad shape", p.name))
 	}
-	d := tensor.FromSlice(batch*seq, dout.Cols/seq, dout.Data)
-	for i := len(p.inner) - 1; i >= 0; i-- {
-		d = p.inner[i].Backward(d)
-	}
+	d := backwardStack(p.inner, tensor.FromSlice(batch*seq, dout.Cols/seq, dout.Data), hook)
 	return tensor.FromSlice(batch, seq*d.Cols, d.Data)
 }

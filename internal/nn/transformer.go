@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"acpsgd/internal/coop"
 	"acpsgd/internal/tensor"
 )
 
@@ -247,9 +248,12 @@ type SelfAttention struct {
 	// per-batch caches (seq x dim etc.), reallocated when shape changes
 	x, q, k, v, att, ctx []*tensor.Matrix
 	scores               []*tensor.Matrix
-	y                    *tensor.Matrix
-	dx                   *tensor.Matrix
-	seq                  int
+	// per-batch dQ, dK, dV, kept from backward's first sweep so each
+	// projection's weight gradient can be finished (and reported) on its own
+	dq, dk, dv []*tensor.Matrix
+	y          *tensor.Matrix
+	dx         *tensor.Matrix
+	seq        int
 }
 
 var _ Layer = (*SelfAttention)(nil)
@@ -293,6 +297,9 @@ func (a *SelfAttention) ensure(batch, seq int) {
 	a.att = mk(seq, seq)
 	a.scores = mk(seq, seq)
 	a.ctx = mk(seq, a.dim)
+	a.dq = mk(seq, a.dim)
+	a.dk = mk(seq, a.dim)
+	a.dv = mk(seq, a.dim)
 	a.y = tensor.New(batch, seq*a.dim)
 	a.dx = tensor.New(batch, seq*a.dim)
 }
@@ -347,15 +354,27 @@ func softmaxRows(dst, src *tensor.Matrix) {
 
 // Backward propagates through the attention computation.
 func (a *SelfAttention) Backward(dout *tensor.Matrix) *tensor.Matrix {
+	return a.backwardHooked(dout, noHook)
+}
+
+// backwardHooked runs the backward pass as one sweep over the batch per
+// projection, so each weight gradient is complete, and reported, before the
+// next one starts: Wo (with dQ, dK, dV of every batch element kept for
+// later), then Wv, Wk, Wq, then the input gradient. Every gradient
+// accumulates the same per-element terms in the same batch order as a single
+// fused sweep would.
+//
+// Each batch element of each sweep ends in a cooperative yield point
+// (package coop): the per-element products are all below one kernel quantum,
+// so without it the whole block would run without ever letting the
+// communication stream in.
+func (a *SelfAttention) backwardHooked(dout *tensor.Matrix, hook GradHook) *tensor.Matrix {
 	batch := dout.Rows
 	seq := a.seq
 	scale := 1 / math.Sqrt(float64(a.dim))
 	dctx := tensor.New(seq, a.dim)
 	datt := tensor.New(seq, seq)
 	dscore := tensor.New(seq, seq)
-	dq := tensor.New(seq, a.dim)
-	dk := tensor.New(seq, a.dim)
-	dv := tensor.New(seq, a.dim)
 	tmpWG := tensor.New(a.dim, a.dim)
 	dxb := tensor.New(seq, a.dim)
 	acc := tensor.New(seq, a.dim)
@@ -369,7 +388,7 @@ func (a *SelfAttention) Backward(dout *tensor.Matrix) *tensor.Matrix {
 
 		// C = A·V: dA = dC·Vᵀ; dV = Aᵀ·dC.
 		tensor.MatMulTB(datt, dctx, a.v[b])
-		tensor.MatMulTA(dv, a.att[b], dctx)
+		tensor.MatMulTA(a.dv[b], a.att[b], dctx)
 
 		// A = softmax(S): dS_ij = A_ij (dA_ij - sum_k dA_ik A_ik).
 		for r := 0; r < seq; r++ {
@@ -384,21 +403,37 @@ func (a *SelfAttention) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		dscore.Scale(scale)
 
 		// S = Q·Kᵀ: dQ = dS·K; dK = dSᵀ·Q.
-		tensor.MatMul(dq, dscore, a.k[b])
-		tensor.MatMulTA(dk, dscore, a.q[b])
+		tensor.MatMul(a.dq[b], dscore, a.k[b])
+		tensor.MatMulTA(a.dk[b], dscore, a.q[b])
+		coop.Yield()
+	}
+	hook(a.wo)
 
-		// Q = X·Wqᵀ etc.: dW += dᵀ·X; dX += d·W.
+	// Q = X·Wqᵀ etc.: dW += dᵀ·X, last projection first.
+	for _, pr := range []struct {
+		d []*tensor.Matrix
+		p *Param
+	}{{a.dv, a.wv}, {a.dk, a.wk}, {a.dq, a.wq}} {
+		for b := 0; b < batch; b++ {
+			tensor.MatMulTA(tmpWG, pr.d[b], a.x[b])
+			pr.p.Grad.Add(tmpWG)
+			coop.Yield()
+		}
+		hook(pr.p)
+	}
+
+	// dX = dQ·Wq + dK·Wk + dV·Wv.
+	for b := 0; b < batch; b++ {
 		acc.Zero()
 		for _, pr := range []struct {
 			d *tensor.Matrix
 			p *Param
-		}{{dq, a.wq}, {dk, a.wk}, {dv, a.wv}} {
-			tensor.MatMulTA(tmpWG, pr.d, a.x[b])
-			pr.p.Grad.Add(tmpWG)
+		}{{a.dq[b], a.wq}, {a.dk[b], a.wk}, {a.dv[b], a.wv}} {
 			tensor.MatMul(dxb, pr.d, pr.p.W)
 			acc.Add(dxb)
 		}
 		copy(a.dx.Data[b*seq*a.dim:(b+1)*seq*a.dim], acc.Data)
+		coop.Yield()
 	}
 	return a.dx
 }

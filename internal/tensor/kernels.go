@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"acpsgd/internal/coop"
 )
 
 // This file holds the hot-path matmul kernels and the package-level worker
@@ -176,6 +178,25 @@ func RunShards(n, shards int, fn func(shard, lo, hi int)) {
 			wg.Wait()
 			return
 		}
+	}
+}
+
+// rowsInQuanta runs a row kernel over dst rows [i0,i1) one work quantum at a
+// time, with a cooperative yield point (package coop) between quanta: the
+// compute stream enters the scheduler there, and only while an asynchronous
+// collective is in flight. rowFlops is the kernel's cost per dst row in the
+// units of SetParallelThreshold. Quanta are whole 4-row register tiles
+// counted from i0, so every row meets the same tile or tail path, and hence
+// the same arithmetic, as in one undivided call; a call smaller than one
+// quantum runs undivided and never yields. Serial calls and every shard of a
+// parallel one go through here.
+func rowsInQuanta(kernel func(dst, a, b *Matrix, i0, i1 int), rowFlops int, dst, a, b *Matrix, i0, i1 int) {
+	step := max(4, (coop.QuantumFlops/max(1, rowFlops))&^3)
+	for lo := i0; lo < i1; lo += step {
+		if lo > i0 {
+			coop.Yield()
+		}
+		kernel(dst, a, b, lo, min(lo+step, i1))
 	}
 }
 

@@ -146,18 +146,22 @@ func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m
 
 // MatMul computes dst = a * b. dst must be a.Rows x b.Cols and distinct from
 // a and b. It panics on shape mismatch. Large products are sharded across
-// the package worker pool (see kernels.go); small ones run serially.
+// the package worker pool (see kernels.go); small ones run serially. Either
+// way the rows are computed one work quantum at a time, with a cooperative
+// yield point between quanta (rowsInQuanta); the same holds for MatMulTA and
+// MatMulTB.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if !useParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRows(dst, a, b, 0, a.Rows)
+	rowFlops := a.Cols * b.Cols
+	if !useParallel(a.Rows, a.Rows*rowFlops) {
+		rowsInQuanta(matMulRows, rowFlops, dst, a, b, 0, a.Rows)
 		return
 	}
 	parallelRows(a.Rows, func(lo, hi int) {
-		matMulRows(dst, a, b, lo, hi)
+		rowsInQuanta(matMulRows, rowFlops, dst, a, b, lo, hi)
 	})
 }
 
@@ -168,12 +172,13 @@ func MatMulTA(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch (%dx%d)ᵀ*(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if !useParallel(a.Cols, a.Rows*a.Cols*b.Cols) {
-		matMulTARows(dst, a, b, 0, a.Cols)
+	rowFlops := a.Rows * b.Cols
+	if !useParallel(a.Cols, a.Cols*rowFlops) {
+		rowsInQuanta(matMulTARows, rowFlops, dst, a, b, 0, a.Cols)
 		return
 	}
 	parallelRows(a.Cols, func(lo, hi int) {
-		matMulTARows(dst, a, b, lo, hi)
+		rowsInQuanta(matMulTARows, rowFlops, dst, a, b, lo, hi)
 	})
 }
 
@@ -183,12 +188,13 @@ func MatMulTB(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if !useParallel(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulTBRows(dst, a, b, 0, a.Rows)
+	rowFlops := a.Cols * b.Rows
+	if !useParallel(a.Rows, a.Rows*rowFlops) {
+		rowsInQuanta(matMulTBRows, rowFlops, dst, a, b, 0, a.Rows)
 		return
 	}
 	parallelRows(a.Rows, func(lo, hi int) {
-		matMulTBRows(dst, a, b, lo, hi)
+		rowsInQuanta(matMulTBRows, rowFlops, dst, a, b, lo, hi)
 	})
 }
 

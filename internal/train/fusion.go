@@ -71,11 +71,17 @@ type gatherBuffer struct {
 // (every payload ships alone — the paper's "buffer size 0, optimal WFBP, no
 // TF" extreme); a huge budget degenerates to one buffer per step ("full TF,
 // no WFBP").
+//
+// Buffers are persistent: bucket composition is deterministic step to step,
+// so the i-th buffer of a step refills the i-th buffer of the step before,
+// backing arrays and entry slices included. A buffer's contents are dead by
+// then: drain has waited its collective and finalize has scattered it.
 type fusionGroup struct {
 	budget int
-	cur    *additiveBuffer
+	bufs   []*additiveBuffer // every buffer built so far, in seal order
+	sealed []*additiveBuffer // this step's sealed buffers: a prefix of bufs
+	cur    *additiveBuffer   // the buffer being filled: bufs[len(sealed)]
 	curB   int
-	sealed []*additiveBuffer
 	onSeal func(*additiveBuffer)
 }
 
@@ -91,7 +97,11 @@ func (g *fusionGroup) add(param *nn.Param, comp compress.AdditiveCompressor, pay
 		g.seal()
 	}
 	if g.cur == nil {
-		g.cur = &additiveBuffer{}
+		if len(g.sealed) == len(g.bufs) {
+			g.bufs = append(g.bufs, &additiveBuffer{})
+		}
+		g.cur = g.bufs[len(g.sealed)]
+		*g.cur = additiveBuffer{data: g.cur.data[:0], entries: g.cur.entries[:0]}
 	}
 	off := len(g.cur.data)
 	g.cur.data = append(g.cur.data, payload...)
@@ -110,18 +120,18 @@ func (g *fusionGroup) seal() {
 	buf := g.cur
 	g.cur = nil
 	g.curB = 0
-	g.sealed = append(g.sealed, buf)
+	g.sealed = g.bufs[:len(g.sealed)+1]
 	g.onSeal(buf)
 }
 
 // flush seals any partial buffer at the end of back-propagation.
 func (g *fusionGroup) flush() { g.seal() }
 
-// reset clears per-step state.
+// reset clears per-step state; the buffers stay for the next step to refill.
 func (g *fusionGroup) reset() {
 	g.cur = nil
 	g.curB = 0
-	g.sealed = g.sealed[:0]
+	g.sealed = g.bufs[:0]
 }
 
 // gatherGroup is the analogue of fusionGroup for raw-gradient packing. Its
@@ -133,14 +143,17 @@ func (g *fusionGroup) reset() {
 // budget. The two scalings cancel into the same raw layer coverage as the
 // uncompressed path, which is the paper's point: compression must not
 // change which layers fuse together.
+//
+// Its buffers persist across steps exactly like fusionGroup's; a buffer's
+// index is its position in bufs.
 type gatherGroup struct {
-	budget  int
-	rate    float64 // expected encoded bytes per raw wire byte (1 = raw)
-	cur     *gatherBuffer
-	curB    int
-	sealed  []*gatherBuffer
-	nextIdx int
-	onSeal  func(*gatherBuffer)
+	budget int
+	rate   float64         // expected encoded bytes per raw wire byte (1 = raw)
+	bufs   []*gatherBuffer // every buffer built so far, in seal order
+	sealed []*gatherBuffer // this step's sealed buffers: a prefix of bufs
+	cur    *gatherBuffer   // the buffer being filled: bufs[len(sealed)]
+	curB   int
+	onSeal func(*gatherBuffer)
 }
 
 func newGatherGroup(budgetBytes int, onSeal func(*gatherBuffer)) *gatherGroup {
@@ -153,8 +166,12 @@ func (g *gatherGroup) add(param *nn.Param, grad []float64) {
 		g.seal()
 	}
 	if g.cur == nil {
-		g.cur = &gatherBuffer{index: g.nextIdx}
-		g.nextIdx++
+		idx := len(g.sealed)
+		if idx == len(g.bufs) {
+			g.bufs = append(g.bufs, &gatherBuffer{})
+		}
+		g.cur = g.bufs[idx]
+		*g.cur = gatherBuffer{packed: g.cur.packed[:0], entries: g.cur.entries[:0], index: idx}
 	}
 	off := len(g.cur.packed)
 	g.cur.packed = append(g.cur.packed, grad...)
@@ -172,7 +189,7 @@ func (g *gatherGroup) seal() {
 	buf := g.cur
 	g.cur = nil
 	g.curB = 0
-	g.sealed = append(g.sealed, buf)
+	g.sealed = g.bufs[:len(g.sealed)+1]
 	g.onSeal(buf)
 }
 
@@ -181,6 +198,5 @@ func (g *gatherGroup) flush() { g.seal() }
 func (g *gatherGroup) reset() {
 	g.cur = nil
 	g.curB = 0
-	g.sealed = g.sealed[:0]
-	g.nextIdx = 0
+	g.sealed = g.bufs[:0]
 }
