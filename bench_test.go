@@ -101,7 +101,6 @@ func BenchmarkPipelinedStep(b *testing.B) {
 }
 
 func BenchmarkAllGather4x64KB(b *testing.B) { suite(b, "AllGather4x64KB") }
-func BenchmarkBroadcast4x256k(b *testing.B) { suite(b, "Broadcast4x256k") }
 
 // Compressor kernels: encode throughput plus the fused 4-peer decode at 1M
 // elements (the hottest un-hideable path per the paper's analysis).

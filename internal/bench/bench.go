@@ -47,7 +47,6 @@ func Suite() []Case {
 		{"TCPFrameCRC4x1M", benchTCPFrameCRC4x1M},
 		{"PipelinedAllReduce4x1M", benchPipelinedAllReduce4x1M},
 		{"AllGather4x64KB", benchAllGather4x64KB},
-		{"Broadcast4x256k", benchBroadcast4x256k},
 		{"SignEncode1M", benchSignEncode1M},
 		{"SignDecode1M", benchSignDecode1M},
 		{"SignDecode4x1M", gatherDecodeCase(1<<20, 4, func(r int) compress.GatherCompressor {
@@ -646,32 +645,6 @@ func benchAllGather4x64KB(b *testing.B) {
 	}
 }
 
-func benchBroadcast4x256k(b *testing.B) {
-	const workers = 4
-	const elems = 256 * 1024
-	transports, err := comm.NewInprocGroup(workers, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	comms := make([]*comm.Communicator, workers)
-	bufs := make([][]float64, workers)
-	for r := range comms {
-		comms[r] = comm.NewCommunicator(transports[r])
-		bufs[r] = make([]float64, elems)
-	}
-	b.SetBytes(8 * elems)
-	abort := func(r int) { transports[r].Close() }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := runRanks(workers, abort, func(r int) error {
-			return comms[r].Broadcast(bufs[r], 0)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // gatherEncodeCase measures one gather compressor's encode throughput at n
 // elements (steady state: the pooled payload path should report 0
 // allocs/op for the deterministic methods).
@@ -771,10 +744,7 @@ func benchTopKSampled1M(b *testing.B) {
 type localCollectives struct{}
 
 func (localCollectives) AllReduceSum([]float64) error { return nil }
-func (localCollectives) AllGather(b []byte) (compress.Gathered, error) {
-	return compress.PayloadList{b}, nil
-}
-func (localCollectives) Size() int { return 1 }
+func (localCollectives) Size() int                    { return 1 }
 
 func benchPowerCompress(b *testing.B) {
 	const n, m, r = 512, 512, 4

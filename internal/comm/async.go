@@ -117,18 +117,6 @@ func NewAsync(c *Communicator) *AsyncCommunicator {
 	return a
 }
 
-// Rank returns the underlying rank.
-func (a *AsyncCommunicator) Rank() int { return a.c.Rank() }
-
-// Size returns the group size.
-func (a *AsyncCommunicator) Size() int { return a.c.Size() }
-
-// Communicator returns the wrapped synchronous communicator. Callers must
-// not issue synchronous collectives while asynchronous operations are in
-// flight (the two would interleave on the transport and ranks would disagree
-// on operation order): drain every Pending first.
-func (a *AsyncCommunicator) Communicator() *Communicator { return a.c }
-
 // AllReduceSumAsync launches AllReduceSum(buf) on the communication
 // goroutine and returns immediately. buf is owned by the transport until the
 // returned handle's Wait returns.

@@ -107,69 +107,6 @@ func (c *Communicator) AllReduceSum(buf []float64) error {
 	return nil
 }
 
-// AllReduceMean is AllReduceSum followed by division by the group size.
-func (c *Communicator) AllReduceMean(buf []float64) error {
-	if err := c.AllReduceSum(buf); err != nil {
-		return err
-	}
-	inv := 1 / float64(c.t.Size())
-	for i := range buf {
-		buf[i] *= inv
-	}
-	return nil
-}
-
-// NaiveAllReduceSum is the gather-to-root + broadcast baseline (no ring).
-// Its root-link traffic is linear in p; it exists for tests and to contrast
-// with the ring implementation, as the paper contrasts naive aggregation
-// with ring all-reduce.
-func (c *Communicator) NaiveAllReduceSum(buf []float64) error {
-	p := c.t.Size()
-	if p == 1 || len(buf) == 0 {
-		return nil
-	}
-	rank := c.t.Rank()
-	if rank == 0 {
-		for src := 1; src < p; src++ {
-			data, err := c.t.Recv(src)
-			if err != nil {
-				return fmt.Errorf("comm: naive recv from %d: %w", src, err)
-			}
-			if err := floatPayloadLen(data, len(buf)); err != nil {
-				c.t.Release(data)
-				return fmt.Errorf("comm: naive gather: %w", err)
-			}
-			addFloatsFrom(buf, data)
-			c.t.Release(data)
-		}
-		// One pooled encode serves every destination: retain the buffer so
-		// all receivers may read it concurrently (shared, read-only).
-		msg := c.t.Lease(8 * len(buf))
-		encodeFloatsInto(msg, buf)
-		c.t.Retain(msg)
-		for dst := 1; dst < p; dst++ {
-			if err := c.t.SendNoCopy(dst, msg); err != nil {
-				return fmt.Errorf("comm: naive send to %d: %w", dst, err)
-			}
-		}
-		return nil
-	}
-	if err := c.sendChunkNoCopy(0, buf, 0, len(buf)); err != nil {
-		return fmt.Errorf("comm: naive send to root: %w", err)
-	}
-	data, err := c.t.Recv(0)
-	if err != nil {
-		return fmt.Errorf("comm: naive recv from root: %w", err)
-	}
-	if err := floatPayloadLen(data, len(buf)); err != nil {
-		c.t.Release(data)
-		return fmt.Errorf("comm: naive bcast: %w", err)
-	}
-	decodeFloatsInto(buf, data)
-	c.t.Release(data)
-	return nil
-}
-
 // AllGather collects every rank's byte payload (rank r's payload at
 // Payload(r)). Payload sizes may differ per rank — this is what Sign-SGD and
 // Top-k SGD need, and its per-rank traffic is (p-1)*N as in Table II.
@@ -203,7 +140,8 @@ func (c *Communicator) AllGather(local []byte) (*Gathered, error) {
 			copy(self, local)
 			g.setPayload(rank, self, self)
 		}
-		// Pairwise exchange: at offset d, send to rank+d, receive from rank-d.
+		// Shifted direct exchange: at offset d, send to rank+d, receive from
+		// rank-d.
 		for d := 1; d < p; d++ {
 			to := (rank + d) % p
 			from := (rank - d + p) % p
@@ -228,53 +166,4 @@ func (c *Communicator) AllGather(local []byte) (*Gathered, error) {
 	}
 	g.finish()
 	return g, nil
-}
-
-// Broadcast copies buf from root to every rank in place (flat tree: root
-// sends to each peer directly). The root encodes once into a pooled buffer
-// shared by all destinations.
-func (c *Communicator) Broadcast(buf []float64, root int) error {
-	p := c.t.Size()
-	if root < 0 || root >= p {
-		return fmt.Errorf("comm: broadcast root %d out of range", root)
-	}
-	if p == 1 {
-		return nil
-	}
-	if c.t.Rank() == root {
-		msg := c.t.Lease(8 * len(buf))
-		encodeFloatsInto(msg, buf)
-		c.t.Retain(msg)
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.t.SendNoCopy(dst, msg); err != nil {
-				return fmt.Errorf("comm: broadcast send to %d: %w", dst, err)
-			}
-		}
-		return nil
-	}
-	data, err := c.t.Recv(root)
-	if err != nil {
-		return fmt.Errorf("comm: broadcast recv: %w", err)
-	}
-	if err := floatPayloadLen(data, len(buf)); err != nil {
-		c.t.Release(data)
-		return fmt.Errorf("comm: broadcast: %w", err)
-	}
-	decodeFloatsInto(buf, data)
-	c.t.Release(data)
-	return nil
-}
-
-// Barrier blocks until all ranks have entered it (all-gather of empty
-// payloads).
-func (c *Communicator) Barrier() error {
-	g, err := c.AllGather(nil)
-	if err != nil {
-		return fmt.Errorf("comm: barrier: %w", err)
-	}
-	g.Release()
-	return nil
 }

@@ -43,17 +43,6 @@ func makeInputs(p, n int, seed int64) ([][]float64, []float64) {
 	return inputs, want
 }
 
-func TestBroadcastBadRoot(t *testing.T) {
-	transports, err := NewInprocGroup(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCommunicator(transports[0])
-	if err := c.Broadcast(nil, 5); err == nil {
-		t.Fatal("expected error for out-of-range root")
-	}
-}
-
 func TestFloatPayloadLenRejectsBadLength(t *testing.T) {
 	if err := floatPayloadLen(make([]byte, 9), 1); err == nil {
 		t.Fatal("expected error for non-multiple-of-8 payload")

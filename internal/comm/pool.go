@@ -38,7 +38,7 @@ import (
 //     this to release unconditionally where only some paths own the buffer.
 //  6. Retain removes the buffer from tracking: the garbage collector takes
 //     over and the pool can never hand that memory to anyone else. This is
-//     how shared payloads (broadcast roots, AllGather send buffers) stay
+//     how shared payloads (all-gather send buffers on groups above two) stay
 //     valid while several receivers read them.
 //
 // A site that intentionally bends a rule carries an

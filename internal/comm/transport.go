@@ -2,9 +2,9 @@
 // run on: point-to-point transports (in-process channels and TCP via the
 // stdlib net package) and the collective operations distributed S-SGD and
 // gradient compression rely on — ring all-reduce (reduce-scatter +
-// all-gather phases, the bandwidth-optimal algorithm NCCL uses), all-gather
-// for non-additive compressed payloads (Sign-SGD, Top-k), broadcast, and
-// barrier.
+// all-gather phases, the bandwidth-optimal algorithm NCCL uses) and
+// all-gather for non-additive compressed payloads (Sign-SGD, Top-k), each
+// with a chunk-pipelined variant.
 package comm
 
 import (

@@ -7,14 +7,14 @@
 //   - Power-SGD (low-rank power iteration; §II-B.3, Algorithm 1)
 //   - ACP-SGD (alternate compressed Power-SGD with error feedback and query
 //     reuse; §IV, Algorithms 1–2) — the paper's contribution
-//   - QSGD, TernGrad, gTop-k and DGC from the paper's related work
+//   - QSGD, TernGrad and DGC from the paper's related work
 //
 // Compressors are per-tensor, per-worker state machines. They are split
 // along the communication-pattern boundary the paper's §III-C analysis draws
 // (see Pattern): additive compressors produce float payloads that can be
 // summed by ring all-reduce, gather compressors produce opaque byte payloads
-// that must be all-gathered, and blocking/pairwise compressors interleave
-// computation with collective rounds after back-propagation.
+// that must be all-gathered, and blocking compressors interleave computation
+// with all-reduce rounds after back-propagation.
 //
 // Methods are selected through the registry API: a Spec (method name +
 // params, parsed from strings like "topk:ratio=0.01,selection=exact")
@@ -80,11 +80,10 @@ type GatherCompressor interface {
 	Decode(step int, blobs [][]byte, grad []float64) error
 }
 
-// Gathered is the view compressors receive of an all-gather's result:
-// per-rank payloads (read-only) plus a Release that hands pooled backing
-// memory back to the transport. comm.Gathered packs the payloads into one
-// contiguous leased region; tests and single-process harnesses use
-// PayloadList.
+// Gathered is the read-only view of an all-gather's result: per-rank
+// payloads plus a Release that hands pooled backing memory back to the
+// transport. comm.Gathered implements it over leased receive buffers; tests
+// and single-process harnesses use PayloadList.
 type Gathered interface {
 	// Ranks returns the number of gathered payloads.
 	Ranks() int
@@ -108,12 +107,10 @@ func (l PayloadList) Payload(r int) []byte { return l[r] }
 // Release is a no-op: the payloads are ordinary garbage-collected slices.
 func (PayloadList) Release() {}
 
-// Collectives is the slice of communicator functionality compressors and the
-// trainer need. *comm.Communicator provides the same methods with its
-// concrete pooled Gathered result; the trainer adapts it to this interface.
+// Collectives is the slice of communicator functionality a
+// BlockingCompressor needs; *comm.Communicator satisfies it.
 type Collectives interface {
 	AllReduceSum(buf []float64) error
-	AllGather(local []byte) (Gathered, error)
 	Size() int
 }
 
@@ -187,7 +184,6 @@ const (
 	ACPSGDMethod
 	QSGDMethod
 	TernGradMethod
-	GTopKSGD
 )
 
 // methodNames maps legacy enum values onto canonical registry names.
@@ -200,7 +196,6 @@ var methodNames = map[Method]string{
 	ACPSGDMethod:   "acp",
 	QSGDMethod:     "qsgd",
 	TernGradMethod: "terngrad",
-	GTopKSGD:       "gtopk",
 }
 
 // String returns the paper's name for the method.

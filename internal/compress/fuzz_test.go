@@ -18,7 +18,7 @@ func FuzzParseSpec(f *testing.F) {
 		" sign : ",
 		"topk:",
 		"topk:ratio=",
-		"gtop-k:ratio=0.05",
+		"top-k:ratio=0.05",
 		"ssgd:a=b=c",
 		"terngrad",
 		"randomk:ratio=2",

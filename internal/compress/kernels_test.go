@@ -528,7 +528,6 @@ func TestWireRates(t *testing.T) {
 		{"topk:ratio=0.01", 1 << 20, 0.06, 1e-9},
 		{"topk:ratio=0.01,selection=exact", 1 << 20, 0.03, 1e-9},
 		{"dgc:ratio=0.001", 1 << 20, 0.003, 1e-9},
-		{"gtopk:ratio=0.001", 1 << 20, 0.003, 1e-9},
 		{"randomk:ratio=0.01", 1 << 20, 0.03, 1e-9},
 		{"qsgd", 1 << 20, 0.25, 1e-3},
 		{"terngrad", 1 << 20, 1.0 / 16, 1e-3},

@@ -21,9 +21,6 @@ const (
 	// PatternBlocking marks interleaved compute→all-reduce chains that run
 	// after back-propagation (Power-SGD).
 	PatternBlocking
-	// PatternPairwise marks post-BP pairwise/hypercube reductions over
-	// packed buffers (gTop-k).
-	PatternPairwise
 )
 
 // String names the pattern.
@@ -35,8 +32,6 @@ func (p Pattern) String() string {
 		return "all-gather"
 	case PatternBlocking:
 		return "blocking"
-	case PatternPairwise:
-		return "pairwise"
 	default:
 		return fmt.Sprintf("Pattern(%d)", int(p))
 	}
@@ -127,9 +122,8 @@ type Factory interface {
 	Validate(spec Spec) error
 	// New builds compressor state for one tensor. The returned value must
 	// implement the interface Info().Pattern implies: AdditiveCompressor
-	// (PatternAllReduce), GatherCompressor (PatternAllGather),
-	// BlockingCompressor (PatternBlocking) or PairwiseBlockingCompressor
-	// (PatternPairwise).
+	// (PatternAllReduce), GatherCompressor (PatternAllGather) or
+	// BlockingCompressor (PatternBlocking).
 	New(spec Spec, t Tensor) (any, error)
 }
 

@@ -52,7 +52,6 @@ func TestSpecLegacySpellings(t *testing.T) {
 		"acp": "acp", "acpsgd": "acp", "acp-sgd": "acp",
 		"qsgd":     "qsgd",
 		"terngrad": "terngrad", "tern": "terngrad",
-		"gtopk": "gtopk", "g-topk": "gtopk", "gtop-k": "gtopk",
 	}
 	for spelling, want := range cases {
 		spec, err := ParseSpec(spelling)
@@ -171,8 +170,6 @@ func TestFactoriesBuildDeclaredPattern(t *testing.T) {
 			_, ok = st.(GatherCompressor)
 		case PatternBlocking:
 			_, ok = st.(BlockingCompressor)
-		case PatternPairwise:
-			_, ok = st.(PairwiseBlockingCompressor)
 		}
 		if !ok {
 			t.Fatalf("%s: pattern %v but New built %T", info.Name, info.Pattern, st)
@@ -192,8 +189,8 @@ func TestSpecWithIsCopyOnWrite(t *testing.T) {
 }
 
 func TestMethodEnumShim(t *testing.T) {
-	if SSGD.String() != "S-SGD" || GTopKSGD.String() != "gTop-k SGD" {
-		t.Fatalf("display names broken: %q %q", SSGD.String(), GTopKSGD.String())
+	if SSGD.String() != "S-SGD" || ACPSGDMethod.String() != "ACP-SGD" {
+		t.Fatalf("display names broken: %q %q", SSGD.String(), ACPSGDMethod.String())
 	}
 	if Method(99).String() != "Method(99)" {
 		t.Fatal("unknown enum String")

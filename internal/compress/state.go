@@ -64,17 +64,10 @@ func (a *ACP) StateVectors() []StateVector {
 	}
 }
 
-// StateVectors delegates to the inner Top-k state, where gTop-k keeps its
-// local selection and error-feedback memory.
-func (g *GTopK) StateVectors() []StateVector {
-	return g.inner.StateVectors()
-}
-
 var (
 	_ Stateful = (*Sign)(nil)
 	_ Stateful = (*TopK)(nil)
 	_ Stateful = (*DGC)(nil)
 	_ Stateful = (*PowerSGD)(nil)
 	_ Stateful = (*ACP)(nil)
-	_ Stateful = (*GTopK)(nil)
 )

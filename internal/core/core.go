@@ -30,7 +30,7 @@ type TrainConfig struct {
 	// Method is a compressor spec in the registry grammar
 	// name[:key=value,...] — e.g. "acp", "topk:ratio=0.01,selection=exact"
 	// or "dgc:ratio=0.001". compress.Names() lists the registered methods;
-	// legacy spellings ("power-sgd", "gtop-k", …) resolve as aliases.
+	// legacy spellings ("power-sgd", "top-k", …) resolve as aliases.
 	Method string
 	// Model is one of "mlp", "minivgg", "miniresnet".
 	Model string

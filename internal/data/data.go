@@ -31,7 +31,7 @@ func (d *Dataset) Len() int { return d.X.Rows }
 func (d *Dataset) Features() int { return d.X.Cols }
 
 // GaussianMixture generates n examples of `classes` Gaussian clusters in
-// `features` dimensions. Cluster centers are drawn at pairwise-separated
+// `features` dimensions. Cluster centers are drawn at mutually separated
 // random positions; within-cluster noise makes the task realistic rather
 // than trivially separable.
 func GaussianMixture(seed int64, n, features, classes int, noise float64) *Dataset {

@@ -145,7 +145,7 @@ func TestGaugeZeroBetweenSteps(t *testing.T) {
 	build := buildMLP(16, 32, 4)
 	wantGaugeZero(t, "before the test")
 
-	for _, spec := range []string{"ssgd", "acp:rank=2", "sign", "power:rank=2", "gtopk:ratio=0.05"} {
+	for _, spec := range []string{"ssgd", "acp:rank=2", "sign", "power:rank=2"} {
 		for _, chunks := range []int{0, 3} {
 			cfg := smokeConfig(spec, OverlapOn)
 			cfg.BufferBytes = 64

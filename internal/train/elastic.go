@@ -381,9 +381,6 @@ func (w *worker) snapshot() (*Checkpoint, error) {
 	for idx, comp := range w.gatherComp {
 		add("b:"+strconv.Itoa(idx), comp)
 	}
-	for idx, comp := range w.pairwise {
-		add("b:"+strconv.Itoa(idx), comp)
-	}
 	return ck, nil
 }
 

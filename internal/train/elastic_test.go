@@ -142,7 +142,7 @@ func TestElasticTransientFaultSameSize(t *testing.T) {
 // cross-step state — weights, momentum, step counter, and every compressor's
 // error-feedback / momentum-correction / low-rank-factor vectors.
 func TestElasticRestoreFidelity(t *testing.T) {
-	specs := []string{"topk:ratio=0.05", "dgc:ratio=0.05", "power:rank=2", "sign", "gtopk:ratio=0.05", "acp:rank=2"}
+	specs := []string{"topk:ratio=0.05", "dgc:ratio=0.05", "power:rank=2", "sign", "acp:rank=2"}
 	const warm, cont = 6, 3
 	trainSet := data.GaussianMixture(1001, 512, 16, 4, 1.0)
 	build := buildMLP(16, 32, 4)

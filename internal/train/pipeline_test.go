@@ -15,7 +15,7 @@ import (
 // low-rank methods a small rank).
 func pipelineSpecFor(name string) string {
 	switch name {
-	case "topk", "randomk", "dgc", "gtopk":
+	case "topk", "randomk", "dgc":
 		return name + ":ratio=0.05"
 	case "power", "acp":
 		return name + ":rank=2"

@@ -241,25 +241,6 @@ func TestRandomKSGDRuns(t *testing.T) {
 	}
 }
 
-func TestGTopKSGDConvergesPowerOfTwoWorkers(t *testing.T) {
-	// 4 workers: the hypercube path.
-	hist := runMethod(t, compress.GTopKSGD, func(c *Config) { c.TopKRatio = 0.05 })
-	if hist.FinalTestAcc < 0.85 {
-		t.Fatalf("gTop-k final acc %.3f < 0.85", hist.FinalTestAcc)
-	}
-}
-
-func TestGTopKSGDConvergesOddWorkers(t *testing.T) {
-	// 3 workers: the all-gather fallback path.
-	hist := runMethod(t, compress.GTopKSGD, func(c *Config) {
-		c.Workers = 3
-		c.TopKRatio = 0.05
-	})
-	if hist.FinalTestAcc < 0.85 {
-		t.Fatalf("gTop-k (fallback) final acc %.3f < 0.85", hist.FinalTestAcc)
-	}
-}
-
 func TestDGCConverges(t *testing.T) {
 	// DGC is registered only in internal/compress (the registry drop-in
 	// contract); the trainer picks it up by spec with no dispatch edits.

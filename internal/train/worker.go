@@ -24,7 +24,7 @@ import (
 //     back-propagation). With Overlap off the launches are deferred, in the
 //     identical order, to the end of backward.
 //   - Stage 2 (after backward): drain every pending handle, run any
-//     post-backward blocking/pairwise compression chain, then decompress the
+//     post-backward blocking compression chain, then decompress the
 //     aggregated payloads back into parameter gradients and apply the
 //     optimizer step.
 //
@@ -56,7 +56,6 @@ type worker struct {
 	additive   map[*nn.Param]compress.AdditiveCompressor
 	blocking   map[*nn.Param]compress.BlockingCompressor
 	gatherComp map[int]compress.GatherCompressor
-	pairwise   map[int]compress.PairwiseBlockingCompressor
 	// chunked caches the chunk-pipelined view of each buffer's gather
 	// compressor (PipelineChunks > 1 only).
 	chunked map[int]compress.ChunkedGatherCompressor
@@ -107,7 +106,6 @@ func newWorker(rank int, cfg *Config, model *nn.Model, c *comm.Communicator, sha
 		additive:   make(map[*nn.Param]compress.AdditiveCompressor),
 		blocking:   make(map[*nn.Param]compress.BlockingCompressor),
 		gatherComp: make(map[int]compress.GatherCompressor),
-		pairwise:   make(map[int]compress.PairwiseBlockingCompressor),
 		chunked:    make(map[int]compress.ChunkedGatherCompressor),
 	}
 
@@ -201,9 +199,7 @@ func (w *worker) sealAdditive(buf *additiveBuffer) {
 
 // sealGather compresses the packed gradients (inline, on the worker thread,
 // as the paper's compression tasks run on the training GPU) and launches the
-// all-gather. Pairwise-pattern buffers (gTop-k) are deferred: their
-// hypercube reduction is interactive and runs after back-propagation, like
-// Power-SGD's chain.
+// all-gather.
 //
 // With PipelineChunks set, sealing launches a per-chunk pipeline instead:
 // chunk c's collective is submitted the moment chunk c is encoded, so with
@@ -213,9 +209,6 @@ func (w *worker) sealAdditive(buf *additiveBuffer) {
 // order after backward, preserving the bit-identity guarantee across all
 // four knob combinations.
 func (w *worker) sealGather(buf *gatherBuffer) {
-	if w.cfg.info.Pattern == compress.PatternPairwise {
-		return
-	}
 	comp, err := w.gatherCompressorFor(buf)
 	if err != nil {
 		buf.err = err
@@ -252,20 +245,15 @@ func (w *worker) chunkedFor(buf *gatherBuffer, comp compress.GatherCompressor) c
 	return cc
 }
 
-// bufferTensor describes a packed gather buffer to the factory. Buffer
-// composition is deterministic across steps, so state keyed by buffer index
-// is stable.
-func (w *worker) bufferTensor(buf *gatherBuffer) compress.Tensor {
-	return compress.Tensor{Rows: len(buf.packed), Cols: 1, ID: int64(buf.index), WorkerRank: w.rank}
-}
-
 // gatherCompressorFor returns (creating on first use) the per-buffer
-// compressor for the packed buffer.
+// compressor for the packed buffer. Buffer composition is deterministic
+// across steps, so state keyed by buffer index is stable.
 func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.GatherCompressor, error) {
 	if c, ok := w.gatherComp[buf.index]; ok {
 		return c, nil
 	}
-	st, err := w.cfg.fac.New(w.cfg.spec, w.bufferTensor(buf))
+	t := compress.Tensor{Rows: len(buf.packed), Cols: 1, ID: int64(buf.index), WorkerRank: w.rank}
+	st, err := w.cfg.fac.New(w.cfg.spec, t)
 	if err != nil {
 		return nil, fmt.Errorf("train: %s state for buffer %d: %w", w.cfg.spec.Name, buf.index, err)
 	}
@@ -277,27 +265,6 @@ func (w *worker) gatherCompressorFor(buf *gatherBuffer) (compress.GatherCompress
 		return nil, err
 	}
 	w.gatherComp[buf.index] = c
-	return c, nil
-}
-
-// pairwiseFor returns (creating on first use) the per-buffer pairwise
-// blocking compressor (gTop-k's hypercube state).
-func (w *worker) pairwiseFor(buf *gatherBuffer) (compress.PairwiseBlockingCompressor, error) {
-	if c, ok := w.pairwise[buf.index]; ok {
-		return c, nil
-	}
-	st, err := w.cfg.fac.New(w.cfg.spec, w.bufferTensor(buf))
-	if err != nil {
-		return nil, fmt.Errorf("train: %s state for buffer %d: %w", w.cfg.spec.Name, buf.index, err)
-	}
-	c, ok := st.(compress.PairwiseBlockingCompressor)
-	if !ok {
-		return nil, fmt.Errorf("train: method %s is not pairwise-blocking (built %T)", w.cfg.spec.Name, st)
-	}
-	if err := w.applyState("b:"+strconv.Itoa(buf.index), c); err != nil {
-		return nil, err
-	}
-	w.pairwise[buf.index] = c
 	return c, nil
 }
 
@@ -446,22 +413,11 @@ func (w *worker) runStep() (float64, error) {
 	if derr != nil {
 		return 0, derr
 	}
-	switch w.cfg.info.Pattern {
-	case compress.PatternBlocking:
+	if w.cfg.info.Pattern == compress.PatternBlocking {
 		for i := len(w.matrixParams) - 1; i >= 0; i-- {
 			p := w.matrixParams[i]
-			if err := w.blocking[p].CompressStep(w.step, p.Grad.Data, comCollectives{w.com}); err != nil {
+			if err := w.blocking[p].CompressStep(w.step, p.Grad.Data, w.com); err != nil {
 				return 0, fmt.Errorf("train: rank %d %s %s: %w", w.rank, w.cfg.spec.Name, p.Name, err)
-			}
-		}
-	case compress.PatternPairwise:
-		for _, buf := range w.gatherGrp.sealed {
-			pc, err := w.pairwiseFor(buf)
-			if err != nil {
-				return 0, err
-			}
-			if err := pc.CompressStep(w.step, buf.packed, comCollectives{w.com}); err != nil {
-				return 0, fmt.Errorf("train: rank %d %s: %w", w.rank, w.cfg.spec.Name, err)
 			}
 		}
 	}
@@ -568,13 +524,11 @@ func (w *worker) finalize() error {
 		if buf.err != nil {
 			return fmt.Errorf("train: rank %d all-gather: %w", w.rank, buf.err)
 		}
-		// Pairwise-pattern buffers already hold the decompressed global mean
-		// in packed (CompressStep replaced it in place); chunk-pipelined
-		// buffers were decoded incrementally in drain; unpipelined gather
-		// buffers still need the fused decode pass over the sealed gather
-		// region, whose pooled memory recycles the moment the decode
-		// consumes it.
-		if w.cfg.info.Pattern != compress.PatternPairwise && !buf.decoded {
+		// Chunk-pipelined buffers were decoded incrementally in drain;
+		// unpipelined buffers still need the fused decode pass over the
+		// sealed gather region, whose pooled memory recycles the moment the
+		// decode consumes it.
+		if !buf.decoded {
 			comp := w.gatherComp[buf.index]
 			err := comp.Decode(w.step, buf.gathered.Payloads(), buf.packed)
 			buf.gathered.Release()
@@ -588,29 +542,6 @@ func (w *worker) finalize() error {
 		}
 	}
 	return nil
-}
-
-// comCollectives adapts *comm.Communicator to the compressor-facing
-// Collectives interfaces: comm returns its concrete pooled Gathered, the
-// compressors program against the interface.
-type comCollectives struct{ c *comm.Communicator }
-
-func (a comCollectives) AllReduceSum(buf []float64) error { return a.c.AllReduceSum(buf) }
-
-func (a comCollectives) AllGather(local []byte) (compress.Gathered, error) {
-	g, err := a.c.AllGather(local)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func (a comCollectives) Size() int { return a.c.Size() }
-
-func (a comCollectives) Rank() int { return a.c.Rank() }
-
-func (a comCollectives) ExchangeWith(peer int, data []byte) ([]byte, error) {
-	return a.c.ExchangeWith(peer, data)
 }
 
 // evaluate computes accuracy of the worker's model over a dataset, batching
