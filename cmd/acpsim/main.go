@@ -1,10 +1,12 @@
 // Command acpsim runs one-off testbed simulations: pick a model, method,
 // execution mode and cluster configuration, get the paper-style iteration
-// breakdown.
+// breakdown. The spec's rank and ratio params reach the cost model; unset,
+// they take the model's paper default.
 //
 //	acpsim -model bert-large -method acp -workers 64 -network 1gbe
 //	acpsim -model resnet152 -method power -mode wfbp          # Fig. 9 cell
 //	acpsim -model bert-large -method acp:rank=256 -buffer 50
+//	acpsim -model bert-large -method power*:rank=32           # Fig. 10 cell
 //	acpsim -model resnet50 -method topk:ratio=0.01
 //
 // With -scenario it instead executes a declarative fleet-scale run — a
@@ -39,7 +41,6 @@ func run(args []string) int {
 	mode := fs.String("mode", "", "naive | wfbp | wfbp+tf (default: the paper's setting per method)")
 	workers := fs.Int("workers", 32, "number of GPUs")
 	batch := fs.Int("batch", 0, "per-GPU batch size (0 = paper default)")
-	rank := fs.Int("rank", 0, "low-rank rank (0 = paper default)")
 	network := fs.String("network", "10gbe", "1gbe | 10gbe | 100gbib")
 	bufferMB := fs.Int("buffer", 0, "fusion buffer MB (0 = 25MB default)")
 	noFusion := fs.Bool("no-fusion", false, "disable tensor fusion")
@@ -63,7 +64,6 @@ func run(args []string) int {
 		Mode:           *mode,
 		Workers:        *workers,
 		Batch:          *batch,
-		Rank:           *rank,
 		Network:        *network,
 		BufferBytes:    *bufferMB * 1024 * 1024,
 		NoFusion:       *noFusion,

@@ -3,14 +3,16 @@
 // workers — the convergence half of the reproduction (paper §V-B).
 //
 // Methods are selected by compressor spec, name[:key=value,...], resolved
-// against the registry in internal/compress:
+// against the registry in internal/compress. The spec sets every method knob
+// (rank, ratio, ef, reuse); unset params take the registry defaults, and
+// without -method the run uses acp:rank=2.
 //
 //	acptrain -method acp -model minivgg -workers 4 -epochs 24
 //	acptrain -method acp:rank=4,reuse=false -model miniresnet
 //	acptrain -method topk:ratio=0.01,selection=exact
 //	acptrain -method dgc:ratio=0.001 -workers 4
-//	acptrain -method acp -no-ef          # Fig. 7 ablation
-//	acptrain -method ssgd -tcp           # collectives over real sockets
+//	acptrain -method acp:rank=1,ef=false   # Fig. 7 ablation
+//	acptrain -method ssgd -tcp             # collectives over real sockets
 package main
 
 import (
@@ -32,17 +34,13 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("acptrain", flag.ContinueOnError)
-	method := fs.String("method", "acp",
+	method := fs.String("method", "acp:rank=2",
 		"compressor spec name[:key=value,...]; methods: "+strings.Join(compress.Names(), " | "))
 	model := fs.String("model", "minivgg", "mlp | minivgg | miniresnet")
 	workers := fs.Int("workers", 4, "number of data-parallel workers")
 	batch := fs.Int("batch", 32, "per-worker batch size")
 	epochs := fs.Int("epochs", 16, "training epochs")
 	lr := fs.Float64("lr", 0.01, "base learning rate (warmup + step decays applied)")
-	rank := fs.Int("rank", 2, "low-rank rank for power/acp")
-	topk := fs.Float64("topk-ratio", 0.001, "density for topk/randomk")
-	noEF := fs.Bool("no-ef", false, "disable error feedback (ablation)")
-	noReuse := fs.Bool("no-reuse", false, "disable query reuse (ablation)")
 	seed := fs.Int64("seed", 42, "random seed")
 	tcp := fs.Bool("tcp", false, "run collectives over loopback TCP instead of channels")
 	overlap := fs.Bool("overlap", true, "overlap collectives with back-propagation (wait-free backprop); results are bit-identical either way")
@@ -91,10 +89,6 @@ func run(args []string) int {
 		Momentum:        0.9,
 		WarmupEpochs:    max(1, *epochs/8),
 		DecayEpochs:     []int{*epochs / 2, *epochs * 3 / 4},
-		Rank:            *rank,
-		TopKRatio:       *topk,
-		DisableEF:       *noEF,
-		DisableReuse:    *noReuse,
 		TrainExamples:   *examples,
 		TestExamples:    *examples / 4,
 		Seed:            *seed,

@@ -1,0 +1,30 @@
+package main
+
+import "testing"
+
+func TestRunSpecCarriesAblationKnobs(t *testing.T) {
+	args := []string{"-model", "mlp", "-workers", "2", "-epochs", "1", "-examples", "128", "-method", "acp:rank=1,ef=false"}
+	if code := run(args); code != 0 {
+		t.Fatalf("run(%q) = %d, want 0", args, code)
+	}
+}
+
+func TestRunRejectsRemovedKnobFlags(t *testing.T) {
+	// Method knobs are spec params only; the old per-knob flags are gone.
+	for _, args := range [][]string{
+		{"-rank", "2"},
+		{"-topk-ratio", "0.01"},
+		{"-no-ef"},
+		{"-no-reuse"},
+	} {
+		if code := run(args); code != 2 {
+			t.Fatalf("run(%q) = %d, want 2 (flag parse error)", args, code)
+		}
+	}
+}
+
+func TestRunBadSpecFails(t *testing.T) {
+	if code := run([]string{"-model", "mlp", "-method", "acp:rank=0"}); code != 1 {
+		t.Fatalf("bad rank param: exit %d, want 1", code)
+	}
+}

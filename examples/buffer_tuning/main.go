@@ -29,8 +29,7 @@ func main() {
 			for _, method := range []string{"power*", "acp"} {
 				cfg := core.IterationConfig{
 					Model:  *model,
-					Method: method,
-					Rank:   rank,
+					Method: fmt.Sprintf("%s:rank=%d", method, rank),
 				}
 				if mb == 0 {
 					cfg.NoFusion = true

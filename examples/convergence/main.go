@@ -18,7 +18,7 @@ func main() {
 	model := flag.String("model", "minivgg", "minivgg | miniresnet")
 	flag.Parse()
 
-	run := func(label, method string, rank int, noEF, noReuse bool) {
+	run := func(label, method string) {
 		hist, err := core.Train(core.TrainConfig{
 			Method:         method,
 			Model:          *model,
@@ -28,9 +28,6 @@ func main() {
 			LR:             0.01,
 			WarmupEpochs:   *epochs / 8,
 			DecayEpochs:    []int{*epochs / 2, *epochs * 3 / 4},
-			Rank:           rank,
-			DisableEF:      noEF,
-			DisableReuse:   noReuse,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
@@ -44,16 +41,16 @@ func main() {
 	}
 
 	fmt.Printf("Fig 6 style comparison (%s, %d workers, %d epochs)\n", *model, *workers, *epochs)
-	run("S-SGD", "ssgd", 2, false, false)
-	run("Power-SGD (r=2)", "power", 2, false, false)
-	run("ACP-SGD (r=2)", "acp", 2, false, false)
-	// Methods are compressor specs: params ride along in the string, and
-	// registry-only methods like DGC need no dedicated config fields.
-	run("Top-k (1%, exact)", "topk:ratio=0.01,selection=exact", 0, false, false)
-	run("DGC (1%)", "dgc:ratio=0.01", 0, false, false)
+	// Methods are compressor specs: every knob rides along in the string,
+	// and registry-only methods like DGC need no dedicated config fields.
+	run("S-SGD", "ssgd")
+	run("Power-SGD (r=2)", "power:rank=2")
+	run("ACP-SGD (r=2)", "acp:rank=2")
+	run("Top-k (1%, exact)", "topk:ratio=0.01,selection=exact")
+	run("DGC (1%)", "dgc:ratio=0.01")
 
 	fmt.Println("\nFig 7 style ablation (rank 1)")
-	run("ACP-SGD", "acp", 1, false, false)
-	run("ACP-SGD w/o EF", "acp", 1, true, false)
-	run("ACP-SGD w/o reuse", "acp", 1, false, true)
+	run("ACP-SGD", "acp:rank=1")
+	run("ACP-SGD w/o EF", "acp:rank=1,ef=false")
+	run("ACP-SGD w/o reuse", "acp:rank=1,reuse=false")
 }

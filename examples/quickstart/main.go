@@ -14,13 +14,12 @@ func main() {
 	// 1. Real distributed training: 4 data-parallel workers, gradients
 	// compressed with ACP-SGD (rank 2) and aggregated with ring all-reduce.
 	hist, err := core.Train(core.TrainConfig{
-		Method:         "acp",
+		Method:         "acp:rank=2",
 		Model:          "mlp",
 		Workers:        4,
 		BatchPerWorker: 32,
 		Epochs:         10,
 		LR:             0.05,
-		Rank:           2,
 	})
 	if err != nil {
 		log.Fatalf("training: %v", err)

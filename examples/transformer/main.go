@@ -15,12 +15,16 @@ import (
 func main() {
 	epochs := flag.Int("epochs", 10, "training epochs")
 	workers := flag.Int("workers", 4, "data-parallel workers")
-	rank := flag.Int("rank", 4, "ACP-SGD rank")
+	rank := flag.Int("rank", 4, "Power-SGD and ACP-SGD rank")
 	flag.Parse()
 
 	for _, method := range []string{"ssgd", "power", "acp"} {
+		spec := method
+		if method != "ssgd" {
+			spec = fmt.Sprintf("%s:rank=%d", method, *rank)
+		}
 		hist, err := core.Train(core.TrainConfig{
-			Method:         method,
+			Method:         spec,
 			Model:          "minitransformer",
 			Workers:        *workers,
 			BatchPerWorker: 16,
@@ -28,7 +32,6 @@ func main() {
 			LR:             0.02,
 			WarmupEpochs:   1,
 			DecayEpochs:    []int{*epochs / 2, *epochs * 3 / 4},
-			Rank:           *rank,
 			TrainExamples:  1024,
 			TestExamples:   256,
 			Classes:        4,

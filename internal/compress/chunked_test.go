@@ -18,7 +18,7 @@ func gatherMethodsUnderTest(t *testing.T) []Spec {
 		}
 		spec := Spec{Name: info.Name}
 		if _, ok := info.Defaults["ratio"]; ok {
-			spec = spec.With("ratio", "0.05")
+			spec.Params = Params{"ratio": "0.05"}
 		}
 		specs = append(specs, spec)
 	}

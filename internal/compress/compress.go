@@ -25,7 +25,6 @@
 package compress
 
 import (
-	"fmt"
 	"math/rand"
 
 	"acpsgd/internal/tensor"
@@ -154,7 +153,6 @@ type ssgdFactory struct{}
 func (ssgdFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:    "ssgd",
-		Display: "S-SGD",
 		Aliases: []string{"sgd", "s-sgd"},
 		Pattern: PatternAllReduce,
 		Scope:   ScopeNone,
@@ -166,76 +164,6 @@ func (ssgdFactory) Validate(Spec) error { return nil }
 func (ssgdFactory) New(_ Spec, t Tensor) (any, error) { return NewIdentity(t.Len()), nil }
 
 func init() { Register(ssgdFactory{}) }
-
-// Method identifies a gradient aggregation method.
-//
-// Deprecated: Method predates the registry; it survives as an alias layer so
-// existing configs keep working. New code (and new methods, which get no
-// enum value) should use Spec.
-type Method int
-
-// Methods, in the order the paper introduces them.
-const (
-	SSGD Method = iota + 1
-	SignSGD
-	TopKSGD
-	RandomKSGD
-	PowerSGDMethod
-	ACPSGDMethod
-	QSGDMethod
-	TernGradMethod
-)
-
-// methodNames maps legacy enum values onto canonical registry names.
-var methodNames = map[Method]string{
-	SSGD:           "ssgd",
-	SignSGD:        "sign",
-	TopKSGD:        "topk",
-	RandomKSGD:     "randomk",
-	PowerSGDMethod: "power",
-	ACPSGDMethod:   "acp",
-	QSGDMethod:     "qsgd",
-	TernGradMethod: "terngrad",
-}
-
-// String returns the paper's name for the method.
-func (m Method) String() string {
-	if name, ok := methodNames[m]; ok {
-		if f, err := Lookup(name); err == nil {
-			return f.Info().Display
-		}
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// Spec returns the registry spec equivalent to the legacy enum value (with
-// all params at their defaults).
-func (m Method) Spec() (Spec, error) {
-	name, ok := methodNames[m]
-	if !ok {
-		return Spec{}, fmt.Errorf("compress: unknown method Method(%d)", int(m))
-	}
-	return Spec{Name: name}, nil
-}
-
-// ParseMethod maps a CLI-friendly name to a Method. Every spelling resolves
-// through the registry's alias table, so ParseMethod and ParseSpec accept
-// the same names.
-//
-// Deprecated: use ParseSpec, which also parses params and covers methods
-// without enum values.
-func ParseMethod(s string) (Method, error) {
-	spec, err := ParseSpec(s)
-	if err != nil {
-		return 0, err
-	}
-	for m, name := range methodNames {
-		if name == spec.Name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("compress: method %q has no legacy enum value; use ParseSpec", spec.Name)
-}
 
 // newSeededRNG derives a deterministic RNG shared by all workers for a given
 // tensor, so randomized initializations (Power-SGD/ACP Q₀, P₀) agree across

@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-func TestMethodStringAndParse(t *testing.T) {
-	cases := map[string]Method{
-		"ssgd": SSGD, "s-sgd": SSGD, "sgd": SSGD,
-		"sign": SignSGD, "signsgd": SignSGD,
-		"topk": TopKSGD, "top-k": TopKSGD,
-		"randomk": RandomKSGD,
-		"power":   PowerSGDMethod, "powersgd": PowerSGDMethod,
-		"acp": ACPSGDMethod, "acpsgd": ACPSGDMethod,
-	}
-	for s, want := range cases {
-		got, err := ParseMethod(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMethod(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseMethod("nope"); err == nil {
-		t.Fatal("expected error for unknown method")
-	}
-	for _, m := range []Method{SSGD, SignSGD, TopKSGD, RandomKSGD, PowerSGDMethod, ACPSGDMethod} {
-		if m.String() == "" || m.String()[0] == 'M' {
-			t.Fatalf("missing String for %d", int(m))
-		}
-	}
-	if Method(99).String() != "Method(99)" {
-		t.Fatal("unknown method String")
-	}
-}
-
 func TestIdentityRoundTrip(t *testing.T) {
 	id := NewIdentity(4)
 	grad := []float64{1, 2, 3, 4}

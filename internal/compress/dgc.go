@@ -205,7 +205,6 @@ type dgcFactory struct{}
 func (dgcFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "dgc",
-		Display:  "DGC",
 		Pattern:  PatternAllGather,
 		Scope:    ScopeBuffer,
 		Defaults: dgcDefaults,

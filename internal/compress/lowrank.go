@@ -286,7 +286,6 @@ type powerFactory struct{}
 func (powerFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "power",
-		Display:  "Power-SGD",
 		Aliases:  []string{"powersgd", "power-sgd"},
 		Pattern:  PatternBlocking,
 		Scope:    ScopeMatrix,
@@ -329,7 +328,6 @@ type acpFactory struct{}
 func (acpFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "acp",
-		Display:  "ACP-SGD",
 		Aliases:  []string{"acpsgd", "acp-sgd"},
 		Pattern:  PatternAllReduce,
 		Scope:    ScopeMatrix,

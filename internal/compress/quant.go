@@ -421,7 +421,6 @@ type qsgdFactory struct{}
 func (qsgdFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "qsgd",
-		Display:  "QSGD",
 		Pattern:  PatternAllGather,
 		Scope:    ScopeBuffer,
 		Defaults: qsgdDefaults,
@@ -462,7 +461,6 @@ type terngradFactory struct{}
 func (terngradFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:    "terngrad",
-		Display: "TernGrad",
 		Aliases: []string{"tern"},
 		Pattern: PatternAllGather,
 		Scope:   ScopeBuffer,

@@ -211,18 +211,6 @@ func TestTernGradDecodeValidation(t *testing.T) {
 	}
 }
 
-func TestQuantizerMethodsParse(t *testing.T) {
-	for s, want := range map[string]Method{"qsgd": QSGDMethod, "terngrad": TernGradMethod, "tern": TernGradMethod} {
-		got, err := ParseMethod(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMethod(%q)=%v,%v", s, got, err)
-		}
-	}
-	if QSGDMethod.String() != "QSGD" || TernGradMethod.String() != "TernGrad" {
-		t.Fatal("missing String names")
-	}
-}
-
 func TestQuantizerMultiWorkerAverage(t *testing.T) {
 	// Two workers with opposite gradients: the averaged decode must be near
 	// zero in expectation; with deterministic ternary codes it is exactly

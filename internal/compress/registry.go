@@ -95,8 +95,6 @@ func (t Tensor) MixedSeed(salt int64) int64 {
 type MethodInfo struct {
 	// Name is the canonical registry key ("topk").
 	Name string
-	// Display is the paper's name ("Top-k SGD").
-	Display string
 	// Aliases are accepted alternative spellings ("top-k").
 	Aliases []string
 	// Pattern and Scope tell the trainer how to wire the method.

@@ -258,7 +258,6 @@ type signFactory struct{}
 func (signFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "sign",
-		Display:  "Sign-SGD",
 		Aliases:  []string{"signsgd", "sign-sgd"},
 		Pattern:  PatternAllGather,
 		Scope:    ScopeBuffer,

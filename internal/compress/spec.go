@@ -105,23 +105,6 @@ func (s Spec) String() string {
 	return b.String()
 }
 
-// With returns a copy of the spec with one param set (copy-on-write; the
-// receiver is unchanged). It is how legacy config fields are folded in.
-func (s Spec) With(key, value string) Spec {
-	out := Spec{Name: s.Name, Params: make(Params, len(s.Params)+1)}
-	for k, v := range s.Params {
-		out.Params[k] = v
-	}
-	out.Params[strings.ToLower(key)] = value
-	return out
-}
-
-// Has reports whether the param is explicitly set.
-func (s Spec) Has(key string) bool {
-	_, ok := s.Params[key]
-	return ok
-}
-
 // withDefaults returns a Params view with defs filled in for absent keys.
 // Factories call it first in Validate/New so MethodInfo.Defaults is the
 // single source of default values (the typed accessors' def arguments never

@@ -22,9 +22,9 @@ func TestSpecRoundTripEveryMethod(t *testing.T) {
 			t.Fatalf("%s: bare round-trip produced %q", info.Name, bare.String())
 		}
 
-		spec := Spec{Name: info.Name}
+		spec := Spec{Name: info.Name, Params: Params{}}
 		for k, v := range info.Defaults {
-			spec = spec.With(k, v)
+			spec.Params[k] = v
 		}
 		back, err := ParseSpec(spec.String())
 		if err != nil {
@@ -39,9 +39,8 @@ func TestSpecRoundTripEveryMethod(t *testing.T) {
 	}
 }
 
-// TestSpecLegacySpellings asserts every spelling the pre-registry
-// ParseMethod accepted still parses via the Spec layer, onto the same
-// method.
+// TestSpecLegacySpellings asserts every alias the registry accepts for a
+// method (the long-standing CLI spellings) parses onto its canonical name.
 func TestSpecLegacySpellings(t *testing.T) {
 	cases := map[string]string{
 		"ssgd": "ssgd", "sgd": "ssgd", "s-sgd": "ssgd",
@@ -60,15 +59,6 @@ func TestSpecLegacySpellings(t *testing.T) {
 		}
 		if spec.Name != want {
 			t.Fatalf("legacy spelling %q resolved to %q, want %q", spelling, spec.Name, want)
-		}
-		// And the legacy enum parser agrees.
-		m, err := ParseMethod(spelling)
-		if err != nil {
-			t.Fatalf("ParseMethod(%q): %v", spelling, err)
-		}
-		mspec, err := m.Spec()
-		if err != nil || mspec.Name != want {
-			t.Fatalf("ParseMethod(%q) enum maps to %q, want %q", spelling, mspec.Name, want)
 		}
 	}
 }
@@ -174,35 +164,5 @@ func TestFactoriesBuildDeclaredPattern(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: pattern %v but New built %T", info.Name, info.Pattern, st)
 		}
-	}
-}
-
-func TestSpecWithIsCopyOnWrite(t *testing.T) {
-	base := MustSpec("topk:ratio=0.01")
-	mod := base.With("ef", "false")
-	if base.Has("ef") {
-		t.Fatal("With mutated the receiver")
-	}
-	if !mod.Has("ef") || mod.Params["ratio"] != "0.01" {
-		t.Fatalf("With lost state: %v", mod)
-	}
-}
-
-func TestMethodEnumShim(t *testing.T) {
-	if SSGD.String() != "S-SGD" || ACPSGDMethod.String() != "ACP-SGD" {
-		t.Fatalf("display names broken: %q %q", SSGD.String(), ACPSGDMethod.String())
-	}
-	if Method(99).String() != "Method(99)" {
-		t.Fatal("unknown enum String")
-	}
-	if _, err := Method(99).Spec(); err == nil {
-		t.Fatal("unknown enum should not map to a spec")
-	}
-	// DGC is registry-only: parseable as a spec, but with no enum value.
-	if _, err := ParseSpec("dgc"); err != nil {
-		t.Fatalf("dgc should parse as a spec: %v", err)
-	}
-	if _, err := ParseMethod("dgc"); err == nil {
-		t.Fatal("dgc has no legacy enum; ParseMethod should refuse")
 	}
 }

@@ -347,7 +347,6 @@ type topkFactory struct{}
 func (topkFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "topk",
-		Display:  "Top-k SGD",
 		Aliases:  []string{"top-k"},
 		Pattern:  PatternAllGather,
 		Scope:    ScopeBuffer,
@@ -413,7 +412,6 @@ type randomkFactory struct{}
 func (randomkFactory) Info() MethodInfo {
 	return MethodInfo{
 		Name:     "randomk",
-		Display:  "Random-k SGD",
 		Aliases:  []string{"random-k"},
 		Pattern:  PatternAllGather,
 		Scope:    ScopeBuffer,

@@ -28,8 +28,9 @@ import (
 // TrainConfig configures a real distributed training run.
 type TrainConfig struct {
 	// Method is a compressor spec in the registry grammar
-	// name[:key=value,...] — e.g. "acp", "topk:ratio=0.01,selection=exact"
-	// or "dgc:ratio=0.001". compress.Names() lists the registered methods;
+	// name[:key=value,...] — e.g. "acp:rank=1,ef=false" or "dgc:ratio=0.001"
+	// — and the only place method knobs are set; unset params take the
+	// registry defaults. compress.Names() lists the registered methods;
 	// legacy spellings ("power-sgd", "top-k", …) resolve as aliases.
 	Method string
 	// Model is one of "mlp", "minivgg", "miniresnet".
@@ -46,11 +47,6 @@ type TrainConfig struct {
 	Momentum     float64
 	WarmupEpochs int
 	DecayEpochs  []int
-
-	Rank         int
-	TopKRatio    float64
-	DisableEF    bool
-	DisableReuse bool
 
 	TrainExamples int
 	TestExamples  int
@@ -132,9 +128,6 @@ func (c *TrainConfig) withDefaults() TrainConfig {
 	}
 	if out.DecayEpochs == nil {
 		out.DecayEpochs = []int{out.Epochs / 2, out.Epochs * 3 / 4}
-	}
-	if out.Rank == 0 {
-		out.Rank = 4
 	}
 	if out.TrainExamples == 0 {
 		out.TrainExamples = 2048
@@ -245,10 +238,6 @@ func Train(cfg TrainConfig) (*train.History, error) {
 			WarmupEpochs: c.WarmupEpochs,
 			DecayEpochs:  c.DecayEpochs,
 		},
-		RankR:          c.Rank,
-		TopKRatio:      c.TopKRatio,
-		DisableEF:      c.DisableEF,
-		DisableReuse:   c.DisableReuse,
 		Overlap:        overlapMode(c.NoOverlap),
 		PipelineChunks: c.PipelineChunks,
 		Elastic: train.ElasticConfig{
@@ -271,17 +260,16 @@ type IterationConfig struct {
 	Model string
 	// Method is a compressor spec over the simulatable methods "ssgd",
 	// "sign", "topk", "power" or "acp" (plus "power*", the WFBP+TF
-	// optimized Power-SGD of Table III). Method params thread through to
-	// the cost model: "acp:rank=256" or "topk:ratio=0.01".
+	// optimized Power-SGD of Table III). The rank and ratio params thread
+	// through to the cost model ("acp:rank=256", "topk:ratio=0.01"); left
+	// unset, they take the model's paper default.
 	Method string
 	// Mode overrides the execution mode: "naive", "wfbp", "wfbp+tf".
 	// Empty picks the paper's default for the method.
 	Mode string
 
-	Workers   int
-	Batch     int
-	Rank      int
-	TopKRatio float64
+	Workers int
+	Batch   int
 	// Network is "1gbe", "10gbe" or "100gbib" (default "10gbe").
 	Network string
 
@@ -327,16 +315,10 @@ func SimulateIteration(cfg IterationConfig) (sim.Result, error) {
 	if workers == 0 {
 		workers = 32
 	}
-	// Spec params thread into the cost model; explicit IterationConfig
-	// fields win over params, params over model defaults.
-	rank := cfg.Rank
-	if rank == 0 {
-		rank, _ = mspec.Params.Int("rank", 0)
-	}
-	ratio := cfg.TopKRatio
-	if ratio == 0 {
-		ratio, _ = mspec.Params.Float("ratio", 0)
-	}
+	// Spec params thread into the cost model. Resolve fills in no defaults,
+	// so an unset param reads as 0: the model's paper default.
+	rank, _ := mspec.Params.Int("rank", 0)
+	ratio, _ := mspec.Params.Float("ratio", 0)
 	return sim.Simulate(sim.Config{
 		Model:          spec,
 		Method:         method,

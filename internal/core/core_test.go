@@ -79,20 +79,6 @@ func TestParseSimMethodSpecParams(t *testing.T) {
 	}
 }
 
-func TestSimulateIterationSpecParamMatchesField(t *testing.T) {
-	bySpec, err := SimulateIteration(IterationConfig{Model: "bert-large", Method: "acp:rank=256"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byField, err := SimulateIteration(IterationConfig{Model: "bert-large", Method: "acp", Rank: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bySpec.TotalSec != byField.TotalSec || bySpec.PayloadBytes != byField.PayloadBytes {
-		t.Fatalf("spec param and config field disagree: %+v vs %+v", bySpec, byField)
-	}
-}
-
 func TestTrainRegistryMethodViaSpecString(t *testing.T) {
 	// DGC exists only as a registry entry in internal/compress; the whole
 	// core → train path must pick it up from the spec string alone.
@@ -117,13 +103,12 @@ func TestTrainRegistryMethodViaSpecString(t *testing.T) {
 
 func TestTrainSmoke(t *testing.T) {
 	hist, err := Train(TrainConfig{
-		Method:         "acp",
+		Method:         "acp:rank=2",
 		Model:          "mlp",
 		Workers:        2,
 		BatchPerWorker: 16,
 		Epochs:         4,
 		LR:             0.05,
-		Rank:           2,
 		TrainExamples:  256,
 		TestExamples:   128,
 		Classes:        4,
@@ -168,8 +153,7 @@ func TestTrainMiniTransformerParity(t *testing.T) {
 	run := func(method string) float64 {
 		hist, err := Train(TrainConfig{
 			Method: method, Model: "minitransformer",
-			Workers: 4, BatchPerWorker: 16, Epochs: 8,
-			LR: 0.02, Rank: 4,
+			Workers: 4, BatchPerWorker: 16, Epochs: 8, LR: 0.02,
 			TrainExamples: 1024, TestExamples: 256, Classes: 4,
 		})
 		if err != nil {
@@ -178,7 +162,7 @@ func TestTrainMiniTransformerParity(t *testing.T) {
 		return hist.FinalTestAcc
 	}
 	ssgd := run("ssgd")
-	acp := run("acp")
+	acp := run("acp:rank=4")
 	if ssgd < 0.8 {
 		t.Fatalf("S-SGD transformer failed to learn: %.3f", ssgd)
 	}
@@ -223,7 +207,7 @@ func TestTrainDefaultsFilledIn(t *testing.T) {
 	if cfg.Method != "acp" || cfg.Model != "mlp" || cfg.Dataset != "gaussian" {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
-	if cfg.Workers != 4 || cfg.Epochs != 20 || cfg.Rank != 4 {
+	if cfg.Workers != 4 || cfg.Epochs != 20 {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
 	img := (&TrainConfig{Model: "minivgg"}).withDefaults()

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"acpsgd/internal/core"
 )
@@ -29,15 +30,15 @@ func (o ConvOptions) withDefaults() ConvOptions {
 	return o
 }
 
-// convRun runs one training configuration and returns accuracy checkpoints
-// (quarter, half, three-quarter, final).
-func convRun(o ConvOptions, model, method string, rank int, disableEF, disableReuse bool) ([4]float64, error) {
+// convRun trains one model with one compressor spec and returns accuracy
+// checkpoints (quarter, half, three-quarter, final).
+func convRun(o ConvOptions, model, spec string) ([4]float64, error) {
 	// The paper's schedule shape (warmup + two decays) at a learning rate
 	// where aggressive low-rank EF compression is stable (§V-A trains with
 	// warmup for the same reason; see also the EF stability discussion in
 	// EXPERIMENTS.md).
 	hist, err := core.Train(core.TrainConfig{
-		Method:         method,
+		Method:         spec,
 		Model:          model,
 		Workers:        o.Workers,
 		BatchPerWorker: 32,
@@ -46,9 +47,6 @@ func convRun(o ConvOptions, model, method string, rank int, disableEF, disableRe
 		Momentum:       0.9,
 		WarmupEpochs:   max(1, o.Epochs/8),
 		DecayEpochs:    []int{o.Epochs / 2, o.Epochs * 3 / 4},
-		Rank:           rank,
-		DisableEF:      disableEF,
-		DisableReuse:   disableReuse,
 		TrainExamples:  1536,
 		TestExamples:   384,
 		Seed:           o.Seed,
@@ -68,9 +66,16 @@ func convRun(o ConvOptions, model, method string, rank int, disableEF, disableRe
 	return out, nil
 }
 
-// convMethods are the compressor specs the Fig. 6 convergence table
-// compares; exp tests assert each resolves against the compress registry.
-var convMethods = []string{"ssgd", "power", "acp"}
+// convMethods are the Fig. 6 specs, rows labelled by method name; exp tests
+// assert each (and each fig7Variants spec) resolves in the compress registry.
+var convMethods = []string{"ssgd", "power:rank=2", "acp:rank=2"}
+
+// fig7Variants are the Fig. 7 ablation rows: ACP-SGD at rank 1.
+var fig7Variants = []struct{ label, spec string }{
+	{"ACP-SGD", "acp:rank=1"},
+	{"ACP-SGD w/o EF", "acp:rank=1,ef=false"},
+	{"ACP-SGD w/o reuse", "acp:rank=1,reuse=false"},
+}
 
 // Fig6 reproduces the convergence comparison of S-SGD, Power-SGD and
 // ACP-SGD (paper: VGG-16 and ResNet-18 on CIFAR-10; here: MiniVGG and
@@ -88,8 +93,9 @@ func Fig6(o ConvOptions) (*Table, error) {
 		},
 	}
 	for _, model := range []string{"minivgg", "miniresnet"} {
-		for _, method := range convMethods {
-			acc, err := convRun(o, model, method, 2, false, false)
+		for _, spec := range convMethods {
+			method, _, _ := strings.Cut(spec, ":")
+			acc, err := convRun(o, model, spec)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig6 %s/%s: %w", model, method, err)
 			}
@@ -115,15 +121,8 @@ func Fig7(o ConvOptions) (*Table, error) {
 		},
 	}
 	for _, model := range []string{"minivgg", "miniresnet"} {
-		for _, v := range []struct {
-			label         string
-			noEF, noReuse bool
-		}{
-			{"ACP-SGD", false, false},
-			{"ACP-SGD w/o EF", true, false},
-			{"ACP-SGD w/o reuse", false, true},
-		} {
-			acc, err := convRun(o, model, "acp", 1, v.noEF, v.noReuse)
+		for _, v := range fig7Variants {
+			acc, err := convRun(o, model, v.spec)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig7 %s/%s: %w", model, v.label, err)
 			}

@@ -12,7 +12,9 @@ import (
 // experiments train must resolve to a registered factory.
 func TestConvMethodsResolveInRegistry(t *testing.T) {
 	methods := append([]string{}, convMethods...)
-	methods = append(methods, "acp") // Fig7 ablation rows
+	for _, v := range fig7Variants {
+		methods = append(methods, v.spec)
+	}
 	for _, m := range methods {
 		spec, err := compress.ParseSpec(m)
 		if err != nil {

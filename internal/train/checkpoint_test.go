@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"acpsgd/internal/compress"
 	"acpsgd/internal/nn"
 	"acpsgd/internal/tensor"
 )
@@ -305,7 +304,7 @@ func TestGradientClippingNoEffectBelowThreshold(t *testing.T) {
 }
 
 func TestTrainingWithClipNorm(t *testing.T) {
-	hist := runMethod(t, compress.SSGD, func(c *Config) { c.ClipNorm = 5 })
+	hist := runMethod(t, "ssgd", func(c *Config) { c.ClipNorm = 5 })
 	if hist.FinalTestAcc < 0.85 {
 		t.Fatalf("clipped training should still converge: %.3f", hist.FinalTestAcc)
 	}

@@ -171,18 +171,16 @@ func toyTask(t *testing.T) (*data.Dataset, *data.Dataset) {
 	return trainSet, testSet
 }
 
-func runMethod(t *testing.T, method compress.Method, mutate func(*Config)) *History {
+func runMethod(t *testing.T, spec string, mutate func(*Config)) *History {
 	t.Helper()
 	trainSet, testSet := toyTask(t)
 	cfg := Config{
-		Method:         method,
+		Spec:           compress.MustSpec(spec),
 		Workers:        4,
 		BatchPerWorker: 16,
 		Epochs:         8,
 		Momentum:       0.9,
 		Schedule:       Schedule{BaseLR: 0.05, WarmupEpochs: 2, DecayEpochs: []int{6}},
-		RankR:          2,
-		TopKRatio:      0.05,
 		Seed:           7,
 	}
 	if mutate != nil {
@@ -190,34 +188,34 @@ func runMethod(t *testing.T, method compress.Method, mutate func(*Config)) *Hist
 	}
 	hist, err := Run(cfg, buildMLP(16, 32, 4), trainSet, testSet)
 	if err != nil {
-		t.Fatalf("%v: %v", method, err)
+		t.Fatalf("%s: %v", spec, err)
 	}
 	return hist
 }
 
 func TestSSGDConverges(t *testing.T) {
-	hist := runMethod(t, compress.SSGD, nil)
+	hist := runMethod(t, "ssgd", nil)
 	if hist.FinalTestAcc < 0.9 {
 		t.Fatalf("S-SGD final acc %.3f < 0.9", hist.FinalTestAcc)
 	}
 }
 
 func TestACPSGDConverges(t *testing.T) {
-	hist := runMethod(t, compress.ACPSGDMethod, nil)
+	hist := runMethod(t, "acp:rank=2", nil)
 	if hist.FinalTestAcc < 0.85 {
 		t.Fatalf("ACP-SGD final acc %.3f < 0.85", hist.FinalTestAcc)
 	}
 }
 
 func TestPowerSGDConverges(t *testing.T) {
-	hist := runMethod(t, compress.PowerSGDMethod, nil)
+	hist := runMethod(t, "power:rank=2", nil)
 	if hist.FinalTestAcc < 0.85 {
 		t.Fatalf("Power-SGD final acc %.3f < 0.85", hist.FinalTestAcc)
 	}
 }
 
 func TestSignSGDConverges(t *testing.T) {
-	hist := runMethod(t, compress.SignSGD, func(c *Config) {
+	hist := runMethod(t, "sign", func(c *Config) {
 		// Sign-SGD needs a smaller effective step (its updates are
 		// constant-magnitude); keep the toy setup but lower LR.
 		c.Schedule = Schedule{BaseLR: 0.02, WarmupEpochs: 2, DecayEpochs: []int{6}}
@@ -228,14 +226,14 @@ func TestSignSGDConverges(t *testing.T) {
 }
 
 func TestTopKSGDConverges(t *testing.T) {
-	hist := runMethod(t, compress.TopKSGD, nil)
+	hist := runMethod(t, "topk:ratio=0.05", nil)
 	if hist.FinalTestAcc < 0.85 {
 		t.Fatalf("Top-k final acc %.3f < 0.85", hist.FinalTestAcc)
 	}
 }
 
 func TestRandomKSGDRuns(t *testing.T) {
-	hist := runMethod(t, compress.RandomKSGD, func(c *Config) { c.TopKRatio = 0.2 })
+	hist := runMethod(t, "randomk:ratio=0.2", nil)
 	if hist.FinalTestAcc < 0.6 {
 		t.Fatalf("Random-k final acc %.3f < 0.6", hist.FinalTestAcc)
 	}
@@ -244,7 +242,7 @@ func TestRandomKSGDRuns(t *testing.T) {
 func TestDGCConverges(t *testing.T) {
 	// DGC is registered only in internal/compress (the registry drop-in
 	// contract); the trainer picks it up by spec with no dispatch edits.
-	hist := runMethod(t, 0, func(c *Config) { c.Spec = compress.MustSpec("dgc:ratio=0.05") })
+	hist := runMethod(t, "dgc:ratio=0.05", nil)
 	if hist.FinalTestAcc < 0.85 {
 		t.Fatalf("DGC final acc %.3f < 0.85", hist.FinalTestAcc)
 	}
@@ -254,12 +252,9 @@ func TestDGCMomentumCorrectionEmulatesOuterMomentum(t *testing.T) {
 	// Lin et al.'s claim: computing momentum locally, before
 	// sparsification, stands in for the optimizer's momentum. A plain-SGD
 	// trainer with dgc:momentum=0.9 should track the momentum-SGD trainer
-	// running accumulated top-k.
-	corrected := runMethod(t, 0, func(c *Config) {
-		c.Momentum = 0
-		c.Spec = compress.MustSpec("dgc:momentum=0.9")
-	})
-	baseline := runMethod(t, compress.TopKSGD, nil) // outer momentum 0.9
+	// running accumulated top-k at the same density.
+	corrected := runMethod(t, "dgc:momentum=0.9,ratio=0.05", func(c *Config) { c.Momentum = 0 })
+	baseline := runMethod(t, "topk:ratio=0.05", nil) // outer momentum 0.9
 	if corrected.FinalTestAcc < baseline.FinalTestAcc-0.1 {
 		t.Fatalf("local momentum correction should emulate outer momentum: %.3f vs %.3f",
 			corrected.FinalTestAcc, baseline.FinalTestAcc)
@@ -267,47 +262,19 @@ func TestDGCMomentumCorrectionEmulatesOuterMomentum(t *testing.T) {
 }
 
 func TestDGCParityWithTopK(t *testing.T) {
-	topk := runMethod(t, compress.TopKSGD, nil)
-	dgc := runMethod(t, 0, func(c *Config) { c.Spec = compress.MustSpec("dgc") })
-	// The base config's legacy TopKRatio (0.05) folds into DGC's ratio
-	// param, so both methods transmit the same coordinate budget.
+	// Both methods transmit the same coordinate budget.
+	topk := runMethod(t, "topk:ratio=0.05", nil)
+	dgc := runMethod(t, "dgc:ratio=0.05", nil)
 	if dgc.FinalTestAcc < topk.FinalTestAcc-0.05 {
 		t.Fatalf("DGC should track Top-k: %.3f vs %.3f", dgc.FinalTestAcc, topk.FinalTestAcc)
-	}
-}
-
-func TestSpecMatchesLegacyConfig(t *testing.T) {
-	// The legacy enum+field config and the explicit Spec must resolve to
-	// the same training run, bit for bit.
-	legacy := runMethod(t, compress.ACPSGDMethod, nil) // RankR=2 folds into rank
-	spec := runMethod(t, 0, func(c *Config) {
-		c.RankR = 0
-		c.Spec = compress.MustSpec("acp:rank=2")
-	})
-	for i := range legacy.Stats {
-		if legacy.Stats[i].TrainLoss != spec.Stats[i].TrainLoss {
-			t.Fatalf("epoch %d: legacy %.9f vs spec %.9f", i, legacy.Stats[i].TrainLoss, spec.Stats[i].TrainLoss)
-		}
-	}
-}
-
-func TestSpecParamOverridesLegacyField(t *testing.T) {
-	// An explicit spec param must win over the deprecated Config field.
-	explicit := runMethod(t, 0, func(c *Config) {
-		c.RankR = 1 // would degrade accuracy if it won
-		c.Spec = compress.MustSpec("acp:rank=2")
-	})
-	baseline := runMethod(t, compress.ACPSGDMethod, nil)
-	if explicit.FinalTestAcc != baseline.FinalTestAcc {
-		t.Fatalf("spec param should override RankR: %.3f vs %.3f", explicit.FinalTestAcc, baseline.FinalTestAcc)
 	}
 }
 
 func TestACPNoFusionMatchesFused(t *testing.T) {
 	// Tensor fusion must not change the math: identical accuracy trajectory
 	// with and without fusion.
-	a := runMethod(t, compress.ACPSGDMethod, nil)
-	b := runMethod(t, compress.ACPSGDMethod, func(c *Config) { c.NoFusion = true })
+	a := runMethod(t, "acp:rank=2", nil)
+	b := runMethod(t, "acp:rank=2", func(c *Config) { c.NoFusion = true })
 	for i := range a.Stats {
 		if math.Abs(a.Stats[i].TrainLoss-b.Stats[i].TrainLoss) > 1e-6 {
 			t.Fatalf("epoch %d: fused %.6f vs unfused %.6f", i, a.Stats[i].TrainLoss, b.Stats[i].TrainLoss)
@@ -316,22 +283,22 @@ func TestACPNoFusionMatchesFused(t *testing.T) {
 }
 
 func TestSSGDSmallBufferMatchesDefault(t *testing.T) {
-	a := runMethod(t, compress.SSGD, nil)
-	b := runMethod(t, compress.SSGD, func(c *Config) { c.BufferBytes = 64 })
+	a := runMethod(t, "ssgd", nil)
+	b := runMethod(t, "ssgd", func(c *Config) { c.BufferBytes = 64 })
 	if math.Abs(a.FinalTestAcc-b.FinalTestAcc) > 1e-9 {
 		t.Fatalf("buffer size changed results: %.4f vs %.4f", a.FinalTestAcc, b.FinalTestAcc)
 	}
 }
 
 func TestSingleWorkerRuns(t *testing.T) {
-	hist := runMethod(t, compress.ACPSGDMethod, func(c *Config) { c.Workers = 1 })
+	hist := runMethod(t, "acp:rank=2", func(c *Config) { c.Workers = 1 })
 	if hist.FinalTestAcc < 0.85 {
 		t.Fatalf("single-worker ACP acc %.3f", hist.FinalTestAcc)
 	}
 }
 
 func TestTCPTransportTraining(t *testing.T) {
-	hist := runMethod(t, compress.SSGD, func(c *Config) {
+	hist := runMethod(t, "ssgd", func(c *Config) {
 		c.UseTCP = true
 		c.Workers = 2
 		c.Epochs = 3
@@ -343,15 +310,16 @@ func TestTCPTransportTraining(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	trainSet, testSet := toyTask(t)
+	ssgd := compress.MustSpec("ssgd")
 	bad := []Config{
-		{Method: compress.SSGD, Workers: 0, BatchPerWorker: 1, Epochs: 1},
-		{Method: compress.SSGD, Workers: 1, BatchPerWorker: 0, Epochs: 1},
-		{Method: compress.SSGD, Workers: 1, BatchPerWorker: 1, Epochs: 0},
-		{Spec: compress.MustSpec("acp").With("rank", "0"), Workers: 1, BatchPerWorker: 1, Epochs: 1},                          // bad rank
-		{Spec: compress.MustSpec("topk").With("ratio", "2"), Workers: 1, BatchPerWorker: 1, Epochs: 1},                        // ratio > 1
+		{Spec: ssgd, Workers: 0, BatchPerWorker: 1, Epochs: 1},
+		{Spec: ssgd, Workers: 1, BatchPerWorker: 0, Epochs: 1},
+		{Spec: ssgd, Workers: 1, BatchPerWorker: 1, Epochs: 0},
+		{Spec: compress.MustSpec("acp:rank=0"), Workers: 1, BatchPerWorker: 1, Epochs: 1},                                     // bad rank
+		{Spec: compress.MustSpec("topk:ratio=2"), Workers: 1, BatchPerWorker: 1, Epochs: 1},                                   // ratio > 1
 		{Spec: compress.Spec{Name: "topk", Params: compress.Params{"rato": "0.1"}}, Workers: 1, BatchPerWorker: 1, Epochs: 1}, // unknown param
 		{Spec: compress.Spec{Name: "quantum"}, Workers: 1, BatchPerWorker: 1, Epochs: 1},                                      // unregistered
-		{Method: compress.Method(42), Workers: 1, BatchPerWorker: 1, Epochs: 1},
+		{Workers: 1, BatchPerWorker: 1, Epochs: 1},                                                                            // no method
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg, buildMLP(16, 8, 4), trainSet, testSet); err == nil {
@@ -376,13 +344,12 @@ func TestACPAblationEFMattersOnHardTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{
-		Method:         compress.ACPSGDMethod,
+		Spec:           compress.MustSpec("acp:rank=1"),
 		Workers:        4,
 		BatchPerWorker: 16,
 		Epochs:         10,
 		Momentum:       0.9,
 		Schedule:       Schedule{BaseLR: 0.02, WarmupEpochs: 2, DecayEpochs: []int{8}},
-		RankR:          1,
 		Seed:           11,
 	}
 	with, err := Run(base, buildMLP(24, 32, 6), trainSet, testSet)
@@ -390,7 +357,7 @@ func TestACPAblationEFMattersOnHardTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	noEF := base
-	noEF.DisableEF = true
+	noEF.Spec = compress.MustSpec("acp:rank=1,ef=false")
 	without, err := Run(noEF, buildMLP(24, 32, 6), trainSet, testSet)
 	if err != nil {
 		t.Fatal(err)

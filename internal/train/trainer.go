@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -46,13 +45,10 @@ func (o Overlap) String() string {
 // Config configures a distributed training run.
 type Config struct {
 	// Spec selects the compression method by name and params (the registry
-	// API, e.g. compress.MustSpec("topk:ratio=0.01")). When Spec.Name is
-	// empty the legacy Method enum is used instead.
+	// API, e.g. compress.MustSpec("topk:ratio=0.01")). It is the only place
+	// a method's knobs are set; params it leaves unset take the method's
+	// registered defaults. It is required.
 	Spec compress.Spec
-	// Method is the legacy enum selector, honored when Spec.Name == "".
-	//
-	// Deprecated: set Spec.
-	Method compress.Method
 
 	Workers        int
 	BatchPerWorker int
@@ -63,19 +59,6 @@ type Config struct {
 	// ClipNorm enables global gradient-norm clipping when positive.
 	ClipNorm float64
 	Schedule Schedule
-
-	// The fields below are legacy per-method knobs. Each folds into the
-	// Spec as the matching param ("rank", "ratio", "selection", "levels",
-	// "ef", "reuse") when the selected method declares that param and the
-	// Spec does not already set it; params set on the Spec win.
-	//
-	// Deprecated: set params on Spec instead.
-	RankR        int
-	TopKRatio    float64
-	Selection    compress.Selection
-	QuantLevels  int
-	DisableEF    bool
-	DisableReuse bool
 
 	// BufferBytes overrides the 25MB fusion budget; NoFusion disables
 	// tensor fusion entirely (per-tensor communication).
@@ -159,20 +142,7 @@ func (cfg *Config) validate() error {
 	if err := cfg.Elastic.validate(cfg.Workers); err != nil {
 		return err
 	}
-	spec := cfg.Spec
-	if spec.Name == "" {
-		s, err := cfg.Method.Spec()
-		if err != nil {
-			return fmt.Errorf("train: %w", err)
-		}
-		spec = s
-	}
-	f, err := compress.Lookup(spec.Name)
-	if err != nil {
-		return fmt.Errorf("train: %w", err)
-	}
-	spec = foldLegacyParams(cfg, spec, f.Info().Defaults)
-	fac, resolved, err := compress.Resolve(spec)
+	fac, resolved, err := compress.Resolve(cfg.Spec)
 	if err != nil {
 		return fmt.Errorf("train: %w", err)
 	}
@@ -180,40 +150,6 @@ func (cfg *Config) validate() error {
 	cfg.spec = resolved
 	cfg.info = fac.Info()
 	return nil
-}
-
-// foldLegacyParams maps the deprecated per-method Config fields onto spec
-// params. A field applies only when the method declares the param (so
-// TopKRatio is meaningless to ACP-SGD and silently skipped, as before) and
-// the spec does not set it explicitly.
-func foldLegacyParams(cfg *Config, spec compress.Spec, defaults compress.Params) compress.Spec {
-	fold := func(key, value string) {
-		if _, known := defaults[key]; known && !spec.Has(key) {
-			spec = spec.With(key, value)
-		}
-	}
-	if cfg.RankR > 0 {
-		fold("rank", strconv.Itoa(cfg.RankR))
-	}
-	if cfg.TopKRatio > 0 {
-		fold("ratio", strconv.FormatFloat(cfg.TopKRatio, 'g', -1, 64))
-	}
-	switch cfg.Selection {
-	case compress.SelectExact:
-		fold("selection", "exact")
-	case compress.SelectSampled:
-		fold("selection", "sampled")
-	}
-	if cfg.QuantLevels > 0 {
-		fold("levels", strconv.Itoa(cfg.QuantLevels))
-	}
-	if cfg.DisableEF {
-		fold("ef", "false")
-	}
-	if cfg.DisableReuse {
-		fold("reuse", "false")
-	}
-	return spec
 }
 
 // EpochStat records one epoch of training.
