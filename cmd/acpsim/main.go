@@ -24,8 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/compress"
+	"acpsgd/internal/models"
 	"acpsgd/internal/sim"
 )
 
@@ -58,13 +60,36 @@ func run(args []string) int {
 		return runScenario(*scenario, *seed, *report)
 	}
 
-	r, err := core.SimulateIteration(core.IterationConfig{
-		Model:          *model,
-		Method:         *method,
-		Mode:           *mode,
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "acpsim: %v\n", err)
+		return 1
+	}
+	spec, err := models.ByName(*model)
+	if err != nil {
+		return fail(err)
+	}
+	m, md, mspec, err := parseSimMethod(*method, *mode)
+	if err != nil {
+		return fail(err)
+	}
+	net, ok := sim.NetByName(*network)
+	if !ok {
+		return fail(fmt.Errorf("unknown network %q", *network))
+	}
+	// Spec params thread into the cost model. Resolve fills in no defaults,
+	// so an unset param reads as 0: the model's paper default.
+	rank, _ := mspec.Params.Int("rank", 0)
+	ratio, _ := mspec.Params.Float("ratio", 0)
+	r, err := sim.Simulate(sim.Config{
+		Model:          spec,
+		Method:         m,
+		Mode:           md,
 		Workers:        *workers,
 		Batch:          *batch,
-		Network:        *network,
+		Rank:           rank,
+		TopKRatio:      ratio,
+		Net:            net,
+		GPU:            sim.DefaultGPU(),
 		BufferBytes:    *bufferMB * 1024 * 1024,
 		NoFusion:       *noFusion,
 		SlowOrth:       *slowOrth,
@@ -72,8 +97,7 @@ func run(args []string) int {
 		PipelineChunks: *chunks,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "acpsim: %v\n", err)
-		return 1
+		return fail(err)
 	}
 	if r.OOM {
 		fmt.Printf("OOM: estimated %.1fGB exceeds GPU memory\n", r.MemoryBytes/1e9)
@@ -90,6 +114,52 @@ func run(args []string) int {
 	fmt.Printf("payload          %8.1f MB/iter (%.0fx compression)\n", r.PayloadBytes/1e6, r.CompressionRat)
 	fmt.Printf("gpu memory est.  %8.1f GB\n", r.MemoryBytes/1e9)
 	return 0
+}
+
+// parseSimMethod resolves a CLI method spec and mode name to simulator
+// enums, with the paper's default execution mode per method. The method
+// name/params go through the compress registry (so aliases and param
+// validation are shared with training); sim.ByName then selects the cost
+// model for the canonical name.
+func parseSimMethod(method, mode string) (sim.Method, sim.Mode, compress.Spec, error) {
+	s := strings.ToLower(strings.TrimSpace(method))
+	if s == "" {
+		s = "ssgd"
+	}
+	// "power*" is the simulator's spelling for WFBP+TF-optimized Power-SGD
+	// (Table III); strip the star before registry resolution.
+	head, _, _ := strings.Cut(s, ":")
+	star := head == "power*" || head == "powerstar" || head == "power-sgd*"
+	if star {
+		s = "power" + strings.TrimPrefix(s, head)
+	}
+	spec, err := compress.ParseSpec(s)
+	if err != nil {
+		return 0, 0, compress.Spec{}, err
+	}
+	if _, spec, err = compress.Resolve(spec); err != nil {
+		return 0, 0, compress.Spec{}, err
+	}
+	m, defMode, ok := sim.ByName(spec.Name)
+	if !ok {
+		return 0, 0, compress.Spec{}, fmt.Errorf("method %q has no simulator cost model (simulatable: %s)",
+			spec.Name, strings.Join(sim.Names(), ", "))
+	}
+	if star {
+		defMode = sim.ModeWFBPTF
+	}
+	switch strings.ToLower(mode) {
+	case "":
+		return m, defMode, spec, nil
+	case "naive":
+		return m, sim.ModeNaive, spec, nil
+	case "wfbp":
+		return m, sim.ModeWFBP, spec, nil
+	case "wfbp+tf", "wfbptf", "tf":
+		return m, sim.ModeWFBPTF, spec, nil
+	default:
+		return 0, 0, compress.Spec{}, fmt.Errorf("unknown mode %q", mode)
+	}
 }
 
 // runScenario executes a declarative fleet scenario and prints its canonical

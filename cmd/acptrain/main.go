@@ -24,7 +24,7 @@ import (
 	"syscall"
 
 	"acpsgd/internal/compress"
-	"acpsgd/internal/core"
+	"acpsgd/internal/models"
 	"acpsgd/internal/train"
 )
 
@@ -36,7 +36,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("acptrain", flag.ContinueOnError)
 	method := fs.String("method", "acp:rank=2",
 		"compressor spec name[:key=value,...]; methods: "+strings.Join(compress.Names(), " | "))
-	model := fs.String("model", "minivgg", "mlp | minivgg | miniresnet")
+	model := fs.String("model", "minivgg", "mlp | minivgg | miniresnet | minitransformer")
 	workers := fs.Int("workers", 4, "number of data-parallel workers")
 	batch := fs.Int("batch", 32, "per-worker batch size")
 	epochs := fs.Int("epochs", 16, "training epochs")
@@ -79,32 +79,52 @@ func run(args []string) int {
 		onCluster = nil
 	}
 
-	hist, err := core.Train(core.TrainConfig{
-		Method:          *method,
-		Model:           *model,
-		Workers:         *workers,
-		BatchPerWorker:  *batch,
-		Epochs:          *epochs,
-		LR:              *lr,
-		Momentum:        0.9,
-		WarmupEpochs:    max(1, *epochs/8),
-		DecayEpochs:     []int{*epochs / 2, *epochs * 3 / 4},
-		TrainExamples:   *examples,
-		TestExamples:    *examples / 4,
-		Seed:            *seed,
-		UseTCP:          *tcp,
-		NoOverlap:       !*overlap,
-		PipelineChunks:  *chunks,
-		Elastic:         *elastic,
-		CheckpointEvery: *ckptEvery,
-		MinWorkers:      *minWorkers,
-		CheckpointDir:   *ckptDir,
-		StepDeadline:    *stepDeadline,
-		OnCluster:       onCluster,
-	})
-	if err != nil {
+	fail := func(err error) int {
 		fmt.Fprintf(os.Stderr, "acptrain: %v\n", err)
 		return 1
+	}
+	spec, err := compress.ParseSpec(*method)
+	if err != nil {
+		return fail(err)
+	}
+	build, all, err := models.Trainable(*model, *seed, *examples+*examples/4, 10)
+	if err != nil {
+		return fail(err)
+	}
+	trainSet, testSet, err := all.Split(*examples)
+	if err != nil {
+		return fail(err)
+	}
+	sched := train.OverlapOn
+	if !*overlap {
+		sched = train.OverlapOff
+	}
+	hist, err := train.Run(train.Config{
+		Spec:           spec,
+		Workers:        *workers,
+		BatchPerWorker: *batch,
+		Epochs:         *epochs,
+		Momentum:       0.9,
+		Schedule: train.Schedule{
+			BaseLR:       *lr,
+			WarmupEpochs: max(1, *epochs/8),
+			DecayEpochs:  []int{*epochs / 2, *epochs * 3 / 4},
+		},
+		Overlap:        sched,
+		PipelineChunks: *chunks,
+		Elastic: train.ElasticConfig{
+			Enabled:         *elastic,
+			CheckpointEvery: *ckptEvery,
+			MinWorkers:      *minWorkers,
+			Dir:             *ckptDir,
+			StepDeadline:    *stepDeadline,
+		},
+		Seed:      *seed,
+		UseTCP:    *tcp,
+		OnCluster: onCluster,
+	}, build, trainSet, testSet)
+	if err != nil {
+		return fail(err)
 	}
 	fmt.Printf("%-6s  %-8s  %-10s  %s\n", "epoch", "lr", "train-loss", "test-acc")
 	for _, s := range hist.Stats {

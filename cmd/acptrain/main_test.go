@@ -3,9 +3,21 @@ package main
 import "testing"
 
 func TestRunSpecCarriesAblationKnobs(t *testing.T) {
-	args := []string{"-model", "mlp", "-workers", "2", "-epochs", "1", "-examples", "128", "-method", "acp:rank=1,ef=false"}
-	if code := run(args); code != 0 {
-		t.Fatalf("run(%q) = %d, want 0", args, code)
+	// dgc exists only as a registry entry in internal/compress; the CLI
+	// picks it up from the spec string alone.
+	for _, spec := range []string{"acp:rank=1,ef=false", "dgc:ratio=0.05"} {
+		args := []string{"-model", "mlp", "-workers", "2", "-epochs", "1", "-examples", "128", "-method", spec}
+		if code := run(args); code != 0 {
+			t.Fatalf("run(%q) = %d, want 0", args, code)
+		}
+	}
+}
+
+func TestRunRejectsZeroWorkers(t *testing.T) {
+	// A zero flag is passed through, not replaced by a default.
+	args := []string{"-model", "mlp", "-workers", "0", "-epochs", "1", "-examples", "128"}
+	if code := run(args); code != 1 {
+		t.Fatalf("run(%q) = %d, want 1", args, code)
 	}
 }
 

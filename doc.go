@@ -16,10 +16,10 @@
 // one-file drop-in — internal/compress/dgc.go (Deep Gradient Compression)
 // is the worked example, and README.md walks through the recipe.
 //
-// The user-facing API lives in internal/core (see the examples/ directory
-// and the cmd/ tools); DESIGN.md maps each paper experiment to the modules
-// and benchmarks that reproduce it, and EXPERIMENTS.md records measured
-// results against the paper's numbers.
+// Real training runs through train.Run with a train.Config and testbed
+// simulation through sim.Simulate with a sim.Config; models.Trainable pairs
+// each trainable model with its synthetic dataset. The examples/ directory
+// and the cmd/ tools call these directly.
 package acpsgd
 
 // Version identifies this reproduction release.

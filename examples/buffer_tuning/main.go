@@ -13,30 +13,41 @@ import (
 	"fmt"
 	"log"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/models"
+	"acpsgd/internal/sim"
 )
 
 func main() {
 	model := flag.String("model", "bert-large", "benchmark model")
 	flag.Parse()
 
+	spec, err := models.ByName(*model)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sizesMB := []int{0, 5, 25, 50, 100, 500, 1000, 1500}
 	for _, rank := range []int{32, 256} {
 		fmt.Printf("%s, rank %d (32 GPUs, 10GbE):\n", *model, rank)
 		fmt.Printf("%-12s %-14s %-10s\n", "buffer(MB)", "Power-SGD*", "ACP-SGD")
 		for _, mb := range sizesMB {
 			row := make([]string, 0, 2)
-			for _, method := range []string{"power*", "acp"} {
-				cfg := core.IterationConfig{
-					Model:  *model,
-					Method: fmt.Sprintf("%s:rank=%d", method, rank),
+			// Power-SGD* is Power-SGD under WFBP + tensor fusion (Table III).
+			for _, method := range []sim.Method{sim.MethodPower, sim.MethodACP} {
+				cfg := sim.Config{
+					Model:   spec,
+					Method:  method,
+					Mode:    sim.ModeWFBPTF,
+					Workers: 32,
+					Rank:    rank,
+					Net:     sim.Net10GbE(),
+					GPU:     sim.DefaultGPU(),
 				}
 				if mb == 0 {
 					cfg.NoFusion = true
 				} else {
 					cfg.BufferBytes = mb * 1024 * 1024
 				}
-				r, err := core.SimulateIteration(cfg)
+				r, err := sim.Simulate(cfg)
 				if err != nil {
 					log.Fatalf("simulate: %v", err)
 				}
@@ -65,11 +76,13 @@ func main() {
 	for _, mb := range []int{5, 25, 100, 500} {
 		fmt.Printf("%-12d", mb)
 		for _, ch := range chunkCounts {
-			r, err := core.SimulateIteration(core.IterationConfig{
-				Model:          *model,
-				Method:         "sign",
-				Mode:           "wfbp+tf",
+			r, err := sim.Simulate(sim.Config{
+				Model:          spec,
+				Method:         sim.MethodSign,
+				Mode:           sim.ModeWFBPTF,
 				Workers:        8,
+				Net:            sim.Net10GbE(),
+				GPU:            sim.DefaultGPU(),
 				BufferBytes:    mb * 1024 * 1024,
 				PipelineChunks: ch,
 			})

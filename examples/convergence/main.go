@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/compress"
+	"acpsgd/internal/models"
+	"acpsgd/internal/train"
 )
 
 func main() {
@@ -18,17 +20,29 @@ func main() {
 	model := flag.String("model", "minivgg", "minivgg | miniresnet")
 	flag.Parse()
 
+	// A 10-class synthetic image task: 2048 train / 512 test examples.
+	build, all, err := models.Trainable(*model, 42, 2048+512, 10)
+	if err != nil {
+		log.Fatalf("model: %v", err)
+	}
+	trainSet, testSet, err := all.Split(2048)
+	if err != nil {
+		log.Fatalf("dataset: %v", err)
+	}
 	run := func(label, method string) {
-		hist, err := core.Train(core.TrainConfig{
-			Method:         method,
-			Model:          *model,
+		hist, err := train.Run(train.Config{
+			Spec:           compress.MustSpec(method),
 			Workers:        *workers,
 			BatchPerWorker: 32,
 			Epochs:         *epochs,
-			LR:             0.01,
-			WarmupEpochs:   *epochs / 8,
-			DecayEpochs:    []int{*epochs / 2, *epochs * 3 / 4},
-		})
+			Momentum:       0.9,
+			Schedule: train.Schedule{
+				BaseLR:       0.01,
+				WarmupEpochs: *epochs / 8,
+				DecayEpochs:  []int{*epochs / 2, *epochs * 3 / 4},
+			},
+			Seed: 42,
+		}, build, trainSet, testSet)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}

@@ -7,20 +7,33 @@ import (
 	"fmt"
 	"log"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/compress"
+	"acpsgd/internal/models"
+	"acpsgd/internal/sim"
+	"acpsgd/internal/train"
 )
 
 func main() {
 	// 1. Real distributed training: 4 data-parallel workers, gradients
-	// compressed with ACP-SGD (rank 2) and aggregated with ring all-reduce.
-	hist, err := core.Train(core.TrainConfig{
-		Method:         "acp:rank=2",
-		Model:          "mlp",
+	// compressed with ACP-SGD (rank 2) and aggregated with ring all-reduce,
+	// on a 10-class Gaussian mixture task (2048 train / 512 test examples).
+	build, all, err := models.Trainable("mlp", 42, 2048+512, 10)
+	if err != nil {
+		log.Fatalf("model: %v", err)
+	}
+	trainSet, testSet, err := all.Split(2048)
+	if err != nil {
+		log.Fatalf("dataset: %v", err)
+	}
+	hist, err := train.Run(train.Config{
+		Spec:           compress.MustSpec("acp:rank=2"),
 		Workers:        4,
 		BatchPerWorker: 32,
 		Epochs:         10,
-		LR:             0.05,
-	})
+		Momentum:       0.9,
+		Schedule:       train.Schedule{BaseLR: 0.05, WarmupEpochs: 1, DecayEpochs: []int{5, 7}},
+		Seed:           42,
+	}, build, trainSet, testSet)
 	if err != nil {
 		log.Fatalf("training: %v", err)
 	}
@@ -31,16 +44,22 @@ func main() {
 	fmt.Printf("final accuracy: %.1f%%\n\n", 100*hist.FinalTestAcc)
 
 	// 2. Testbed simulation: one BERT-Base iteration on 32 GPUs / 10GbE
-	// under S-SGD vs ACP-SGD (the paper's headline comparison).
-	for _, method := range []string{"ssgd", "acp"} {
-		r, err := core.SimulateIteration(core.IterationConfig{
-			Model:  "bert-base",
-			Method: method,
+	// under S-SGD vs ACP-SGD (the paper's headline comparison), each in its
+	// paper execution mode.
+	for _, name := range []string{"ssgd", "acp"} {
+		method, mode, _ := sim.ByName(name)
+		r, err := sim.Simulate(sim.Config{
+			Model:   models.BERTBase(),
+			Method:  method,
+			Mode:    mode,
+			Workers: 32,
+			Net:     sim.Net10GbE(),
+			GPU:     sim.DefaultGPU(),
 		})
 		if err != nil {
 			log.Fatalf("simulate: %v", err)
 		}
 		fmt.Printf("%-6s on 32xGPU/10GbE: %4.0fms/iter (ff&bp %3.0f, compress %3.0f, comm %3.0f)\n",
-			method, r.TotalSec*1e3, r.FFBPSec*1e3, r.CompressSec*1e3, r.CommSec*1e3)
+			name, r.TotalSec*1e3, r.FFBPSec*1e3, r.CompressSec*1e3, r.CommSec*1e3)
 	}
 }

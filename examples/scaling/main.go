@@ -7,20 +7,33 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/models"
+	"acpsgd/internal/sim"
 )
 
 func main() {
 	model := flag.String("model", "bert-base", "resnet50 | resnet152 | bert-base | bert-large")
 	flag.Parse()
 
+	spec, err := models.ByName(*model)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cellCfg := func(method, network string, workers int, noOverlap bool) string {
-		r, err := core.SimulateIteration(core.IterationConfig{
-			Model:     *model,
-			Method:    method,
+		// Every cell runs WFBP + tensor fusion, which makes "power*" the
+		// optimized Power-SGD* of Table III. An unknown name leaves Method
+		// or Net invalid, which Simulate rejects.
+		m, _, _ := sim.ByName(strings.TrimSuffix(method, "*"))
+		net, _ := sim.NetByName(network)
+		r, err := sim.Simulate(sim.Config{
+			Model:     spec,
+			Method:    m,
+			Mode:      sim.ModeWFBPTF,
 			Workers:   workers,
-			Network:   network,
+			Net:       net,
+			GPU:       sim.DefaultGPU(),
 			NoOverlap: noOverlap,
 		})
 		if err != nil {

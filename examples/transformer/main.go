@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/compress"
+	"acpsgd/internal/models"
+	"acpsgd/internal/train"
 )
 
 func main() {
@@ -18,24 +20,33 @@ func main() {
 	rank := flag.Int("rank", 4, "Power-SGD and ACP-SGD rank")
 	flag.Parse()
 
+	// A 4-class sequence task: 1024 train / 256 test examples.
+	build, all, err := models.Trainable("minitransformer", 42, 1024+256, 4)
+	if err != nil {
+		log.Fatalf("model: %v", err)
+	}
+	trainSet, testSet, err := all.Split(1024)
+	if err != nil {
+		log.Fatalf("dataset: %v", err)
+	}
 	for _, method := range []string{"ssgd", "power", "acp"} {
 		spec := method
 		if method != "ssgd" {
 			spec = fmt.Sprintf("%s:rank=%d", method, *rank)
 		}
-		hist, err := core.Train(core.TrainConfig{
-			Method:         spec,
-			Model:          "minitransformer",
+		hist, err := train.Run(train.Config{
+			Spec:           compress.MustSpec(spec),
 			Workers:        *workers,
 			BatchPerWorker: 16,
 			Epochs:         *epochs,
-			LR:             0.02,
-			WarmupEpochs:   1,
-			DecayEpochs:    []int{*epochs / 2, *epochs * 3 / 4},
-			TrainExamples:  1024,
-			TestExamples:   256,
-			Classes:        4,
-		})
+			Momentum:       0.9,
+			Schedule: train.Schedule{
+				BaseLR:       0.02,
+				WarmupEpochs: 1,
+				DecayEpochs:  []int{*epochs / 2, *epochs * 3 / 4},
+			},
+			Seed: 42,
+		}, build, trainSet, testSet)
 		if err != nil {
 			log.Fatalf("%s: %v", method, err)
 		}

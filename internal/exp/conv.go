@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"strings"
 
-	"acpsgd/internal/core"
+	"acpsgd/internal/compress"
+	"acpsgd/internal/models"
+	"acpsgd/internal/train"
 )
 
 // ConvOptions tunes the convergence experiments (Figs. 6-7). The defaults
 // are CPU-scale: the paper's 300-epoch CIFAR-10 runs become short runs on
-// the synthetic image task (see DESIGN.md substitutions); the comparison
-// *between* methods is the reproduced quantity.
+// the synthetic image task; the comparison *between* methods is the
+// reproduced quantity.
 type ConvOptions struct {
 	Epochs  int
 	Workers int
@@ -35,22 +37,28 @@ func (o ConvOptions) withDefaults() ConvOptions {
 func convRun(o ConvOptions, model, spec string) ([4]float64, error) {
 	// The paper's schedule shape (warmup + two decays) at a learning rate
 	// where aggressive low-rank EF compression is stable (§V-A trains with
-	// warmup for the same reason; see also the EF stability discussion in
-	// EXPERIMENTS.md).
-	hist, err := core.Train(core.TrainConfig{
-		Method:         spec,
-		Model:          model,
+	// warmup for the same reason).
+	build, all, err := models.Trainable(model, o.Seed, 1536+384, 10)
+	if err != nil {
+		return [4]float64{}, err
+	}
+	trainSet, testSet, err := all.Split(1536)
+	if err != nil {
+		return [4]float64{}, err
+	}
+	hist, err := train.Run(train.Config{
+		Spec:           compress.MustSpec(spec),
 		Workers:        o.Workers,
 		BatchPerWorker: 32,
 		Epochs:         o.Epochs,
-		LR:             0.01,
 		Momentum:       0.9,
-		WarmupEpochs:   max(1, o.Epochs/8),
-		DecayEpochs:    []int{o.Epochs / 2, o.Epochs * 3 / 4},
-		TrainExamples:  1536,
-		TestExamples:   384,
-		Seed:           o.Seed,
-	})
+		Schedule: train.Schedule{
+			BaseLR:       0.01,
+			WarmupEpochs: max(1, o.Epochs/8),
+			DecayEpochs:  []int{o.Epochs / 2, o.Epochs * 3 / 4},
+		},
+		Seed: o.Seed,
+	}, build, trainSet, testSet)
 	if err != nil {
 		return [4]float64{}, err
 	}

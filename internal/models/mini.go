@@ -1,10 +1,46 @@
 package models
 
 import (
+	"fmt"
 	"math/rand"
 
+	"acpsgd/internal/data"
 	"acpsgd/internal/nn"
 )
+
+// Sequence-task geometry shared by the sequences dataset and the
+// MiniTransformer builder.
+const (
+	seqVocab = 40
+	seqLen   = 12
+)
+
+// Trainable pairs a named trainable model with the synthetic task it learns:
+// it returns the model factory and an n-example dataset generated from seed.
+// "mlp" learns a 32-feature Gaussian mixture, "minivgg" and "miniresnet"
+// 3x8x8 synthetic images, and "minitransformer" token sequences.
+func Trainable(name string, seed int64, n, classes int) (func(rng *rand.Rand) *nn.Model, *data.Dataset, error) {
+	switch name {
+	case "mlp":
+		return func(rng *rand.Rand) *nn.Model {
+			return MLP(rng, 32, 64, 64, classes)
+		}, data.GaussianMixture(seed, n, 32, classes, 1.2), nil
+	case "minivgg":
+		return func(rng *rand.Rand) *nn.Model {
+			return MiniVGG(rng, 3, 8, 8, classes)
+		}, data.SynthImages(seed, n, classes, 3, 8, 8, 0.6), nil
+	case "miniresnet":
+		return func(rng *rand.Rand) *nn.Model {
+			return MiniResNet(rng, 3, 8, 8, classes)
+		}, data.SynthImages(seed, n, classes, 3, 8, 8, 0.6), nil
+	case "minitransformer":
+		return func(rng *rand.Rand) *nn.Model {
+			return MiniTransformer(rng, seqVocab, seqLen, 16, classes)
+		}, data.SynthSequences(seed, n, classes, seqVocab, seqLen, 0.35), nil
+	default:
+		return nil, nil, fmt.Errorf("models: unknown trainable model %q (mlp | minivgg | miniresnet | minitransformer)", name)
+	}
+}
 
 // MiniVGG builds a CPU-scale stand-in for the paper's VGG-16/CIFAR-10
 // convergence model: a plain (non-residual) conv stack with max pooling and

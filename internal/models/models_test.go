@@ -192,3 +192,22 @@ func TestMLPPanicsOnTooFewDims(t *testing.T) {
 	}()
 	MLP(rand.New(rand.NewSource(1)), 4)
 }
+
+func TestTrainable(t *testing.T) {
+	for _, name := range []string{"mlp", "minivgg", "miniresnet", "minitransformer"} {
+		build, ds, err := Trainable(name, 7, 24, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ds.Len() != 24 || ds.Classes != 4 {
+			t.Fatalf("%s: dataset %d rows / %d classes, want 24 / 4", name, ds.Len(), ds.Classes)
+		}
+		// The factory's model accepts its own dataset's rows.
+		if y := build(rand.New(rand.NewSource(1))).Forward(ds.X); y.Rows != 24 || y.Cols != 4 {
+			t.Fatalf("%s: output %dx%d, want 24x4", name, y.Rows, y.Cols)
+		}
+	}
+	if _, _, err := Trainable("alexnet", 7, 24, 4); err == nil {
+		t.Fatal("expected unknown model error")
+	}
+}
