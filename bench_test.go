@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per paper table/figure (regenerating the
 // experiment via internal/exp) plus micro-benchmarks of the real substrate
 // components (collectives, compressors, layers) and the ablation benches
-// listed in DESIGN.md §7. Run with:
+// (sensitivity studies beyond the paper). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -131,7 +131,7 @@ func BenchmarkSimulateIteration(b *testing.B)   { suite(b, "SimulateBERTACP32") 
 // committed fleet baseline).
 func BenchmarkFleetEngine1000(b *testing.B) { suite(b, "FleetEngine1000") }
 
-// --- ablation benches (DESIGN.md §7) --------------------------------------
+// --- ablation benches (extensions beyond the paper) ------------------------
 
 // BenchmarkAblationInterference sweeps the GPU interference rate and
 // reports the resulting Power-SGD* time on BERT-Large: the knob behind the

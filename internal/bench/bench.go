@@ -193,10 +193,10 @@ func pipelinedStepCase(chunks int) func(b *testing.B) {
 	}
 }
 
-// benchPipelinedAllReduce4x1M is RingAllReduce4x1M through the segment-
-// pipelined schedule (8 segments): on a memory-speed transport it measures
-// the tag/segmentation overhead of the pipelined protocol relative to the
-// plain ring, which the committed baseline keeps honest.
+// benchPipelinedAllReduce4x1M is RingAllReduce4x1M at 8 segments instead of
+// one: on a memory-speed transport it measures what splitting the ring into
+// windowed segments costs over the one-segment schedule, which the
+// committed baseline keeps honest.
 func benchPipelinedAllReduce4x1M(b *testing.B) {
 	const workers, elems, segments = 4, 1024 * 1024, 8
 	transports, err := comm.NewInprocGroup(workers, 0)
@@ -371,7 +371,7 @@ func benchAsyncAllReduce4x1M(b *testing.B) {
 	}()
 	abort := func(r int) { transports[r].Close() }
 	if err := runRanks(workers, abort, func(r int) error {
-		return asyncs[r].AllReduceSumAsync(bufs[r]).Wait()
+		return asyncs[r].AllReduceSumAsync(bufs[r], 1).Wait()
 	}); err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func benchAsyncAllReduce4x1M(b *testing.B) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < b.N; i++ {
-				if err := asyncs[r].AllReduceSumAsync(bufs[r]).Wait(); err != nil {
+				if err := asyncs[r].AllReduceSumAsync(bufs[r], 1).Wait(); err != nil {
 					b.Error(err)
 					transports[r].Close()
 					return

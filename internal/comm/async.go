@@ -79,6 +79,11 @@ func (op asyncOp) complete(err error) {
 // must issue the same collectives in the same order), mirroring how the
 // paper serializes NCCL launches on a communication stream.
 //
+// There are three launches: AllReduceSumAsync(buf, m) runs the ring
+// all-reduce at any segment count (m <= 1 unpipelined), AllGatherAsync runs
+// one unchunked gather, and LaunchPipelinedGather runs a gather fed chunk by
+// chunk through a PipelinedGather handle.
+//
 // The payload path is the Communicator's: leased send buffers, SendNoCopy,
 // fused decode+reduce — steady-state collectives stay allocation-free; each
 // submission allocates only its small Pending handle.
@@ -117,13 +122,14 @@ func NewAsync(c *Communicator) *AsyncCommunicator {
 	return a
 }
 
-// AllReduceSumAsync launches AllReduceSum(buf) on the communication
-// goroutine and returns immediately. buf is owned by the transport until the
-// returned handle's Wait returns.
-func (a *AsyncCommunicator) AllReduceSumAsync(buf []float64) *Pending {
+// AllReduceSumAsync launches AllReduceSumPipelined(buf, m) on the
+// communication goroutine and returns immediately; m <= 1 is the plain
+// ring. buf is owned by the transport until the returned handle's Wait
+// returns. The result is bit-identical for every m.
+func (a *AsyncCommunicator) AllReduceSumAsync(buf []float64, m int) *Pending {
 	p := &Pending{done: make(chan struct{})}
 	a.submit(asyncOp{
-		run:    func() error { return a.c.AllReduceSum(buf) },
+		run:    func() error { return a.c.AllReduceSumPipelined(buf, m) },
 		finish: p.finish,
 	})
 	return p
@@ -216,19 +222,6 @@ func (a *AsyncCommunicator) LaunchPipelinedGather(g *PipelinedGather) {
 			close(g.out)
 		},
 	})
-}
-
-// AllReduceSumPipelinedAsync launches AllReduceSumPipelined(buf, m) on the
-// communication goroutine and returns immediately. buf is owned by the
-// transport until the returned handle's Wait returns. The result is
-// bit-identical to AllReduceSumAsync for every m.
-func (a *AsyncCommunicator) AllReduceSumPipelinedAsync(buf []float64, m int) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	a.submit(asyncOp{
-		run:    func() error { return a.c.AllReduceSumPipelined(buf, m) },
-		finish: p.finish,
-	})
-	return p
 }
 
 // AllGatherAsync launches AllGather(local) on the communication goroutine

@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -121,6 +123,80 @@ func TestAllReduceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCollectivesSteadyStateAllocFree: once the pool is warm, the ring
+// all-reduce allocates nothing on either rank at any segment count — the
+// steady-state contract Communicator documents.
+func TestCollectivesSteadyStateAllocFree(t *testing.T) {
+	const p, n, calls = 2, 4096, 50
+	// Like testing.AllocsPerRun, measure at GOMAXPROCS 1: blocked channel
+	// receives draw runtime wait records from per-P caches, and a rank
+	// migrating between Ps can refill one from the heap. Those are the
+	// scheduler's allocations, not the collective's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, m := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			ts, err := NewInprocGroup(p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, tr := range ts {
+					tr.Close()
+				}
+			}()
+			call := func(c *Communicator, buf []float64) error {
+				if m == 1 {
+					return c.AllReduceSum(buf)
+				}
+				return c.AllReduceSumPipelined(buf, m)
+			}
+			// Rank 1 runs on a goroutine started before the measurement;
+			// each value on rounds asks it for that many calls.
+			rounds, done := make(chan int), make(chan error)
+			go func() {
+				c, buf := NewCommunicator(ts[1]), make([]float64, n)
+				for k := range rounds {
+					var err error
+					for i := 0; i < k && err == nil; i++ {
+						err = call(c, buf)
+					}
+					done <- err
+				}
+			}()
+			defer close(rounds)
+			c, buf := NewCommunicator(ts[0]), make([]float64, n)
+			run := func(k int) {
+				rounds <- k
+				for i := 0; i < k; i++ {
+					if err := call(c, buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A warm pool can still grow once when scheduling pushes more
+			// buffers in flight than it has seen; a per-call allocation
+			// shows in every window, so the quietest of a few must read 0.
+			var readings []uint64
+			for len(readings) < 5 {
+				run(calls)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run(calls)
+				runtime.ReadMemStats(&after)
+				got := after.Mallocs - before.Mallocs
+				if got == 0 {
+					return
+				}
+				readings = append(readings, got)
+			}
+			t.Fatalf("each window of %d calls allocated: %v objects, want a window with 0", calls, readings)
+		})
 	}
 }
 

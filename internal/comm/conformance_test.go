@@ -133,7 +133,7 @@ func TestConformanceSingleRankShortCircuits(t *testing.T) {
 		g.Release()
 		a := NewAsync(c)
 		defer a.Close()
-		if err := a.AllReduceSumAsync(buf).Wait(); err != nil {
+		if err := a.AllReduceSumAsync(buf, 1).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -268,7 +268,7 @@ func TestConformanceAsyncFIFO(t *testing.T) {
 				handles := make([]*Pending, rounds)
 				for k := 0; k < rounds; k++ {
 					bufs[k] = append([]float64(nil), inputs[r]...)
-					handles[k] = a.AllReduceSumAsync(bufs[k])
+					handles[k] = a.AllReduceSumAsync(bufs[k], 1)
 				}
 				// Waiting the last handle implies all earlier ones finished:
 				// launches are FIFO on one goroutine.
@@ -372,8 +372,8 @@ func TestConformanceCloseDuringPending(t *testing.T) {
 		// the transport until the group is closed underneath it.
 		a := NewAsync(NewCommunicator(ts[0]))
 		defer a.Close()
-		stuck := a.AllReduceSumAsync(make([]float64, 64))
-		queued := a.AllReduceSumAsync(make([]float64, 64))
+		stuck := a.AllReduceSumAsync(make([]float64, 64), 1)
+		queued := a.AllReduceSumAsync(make([]float64, 64), 1)
 		time.Sleep(10 * time.Millisecond) // let the first launch block in Recv
 		for _, tr := range ts {
 			tr.Close()
@@ -397,8 +397,8 @@ func TestConformanceAsyncCloseFailsQueuedOps(t *testing.T) {
 		// Block the launch goroutine on a collective the peer never joins,
 		// then queue another op behind it and close the async layer: the
 		// queued op must fail with ErrClosed without ever launching.
-		stuck := a.AllReduceSumAsync(make([]float64, 8))
-		queued := a.AllReduceSumAsync(make([]float64, 8))
+		stuck := a.AllReduceSumAsync(make([]float64, 8), 1)
+		queued := a.AllReduceSumAsync(make([]float64, 8), 1)
 		time.Sleep(5 * time.Millisecond)
 		for _, tr := range ts {
 			tr.Close() // unblock the in-flight launch so Close can join the loop
@@ -413,7 +413,7 @@ func TestConformanceAsyncCloseFailsQueuedOps(t *testing.T) {
 			t.Fatal("queued op reported success")
 		}
 		// Submissions after Close fail immediately with ErrClosed.
-		late := a.AllReduceSumAsync(make([]float64, 8))
+		late := a.AllReduceSumAsync(make([]float64, 8), 1)
 		if err := waitWithTimeout(t, late.Wait); !errors.Is(err, ErrClosed) {
 			t.Fatalf("post-close submit: got %v, want ErrClosed", err)
 		}

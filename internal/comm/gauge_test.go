@@ -41,8 +41,8 @@ func TestAsyncGaugeHygiene(t *testing.T) {
 				defer wg.Done()
 				a := NewAsync(NewCommunicator(ts[r]))
 				defer a.Close()
-				red := a.AllReduceSumAsync(make([]float64, 33))
-				piped := a.AllReduceSumPipelinedAsync(make([]float64, 33), 4)
+				red := a.AllReduceSumAsync(make([]float64, 33), 1)
+				piped := a.AllReduceSumAsync(make([]float64, 33), 4)
 				gat := a.AllGatherAsync([]byte{byte(r)})
 				pg := NewPipelinedGather(chunks)
 				a.LaunchPipelinedGather(pg)
@@ -86,7 +86,7 @@ func TestAsyncGaugeHygiene(t *testing.T) {
 		a := NewAsync(NewCommunicator(ts[0]))
 		// The peer never joins: the first op blocks in the transport, the
 		// others wait in the queue behind it.
-		stuck := a.AllReduceSumAsync(make([]float64, 8))
+		stuck := a.AllReduceSumAsync(make([]float64, 8), 1)
 		queued := a.AllGatherAsync([]byte{1})
 		pg := NewPipelinedGather(2)
 		a.LaunchPipelinedGather(pg)
@@ -110,7 +110,7 @@ func TestAsyncGaugeHygiene(t *testing.T) {
 			t.Errorf("queued pipelined gather: got %v, want ErrClosed", err)
 		}
 		pg.Drain()
-		late := a.AllReduceSumAsync(make([]float64, 8))
+		late := a.AllReduceSumAsync(make([]float64, 8), 1)
 		if err := late.Wait(); !errors.Is(err, ErrClosed) {
 			t.Errorf("post-close submit: got %v, want ErrClosed", err)
 		}

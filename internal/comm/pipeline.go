@@ -5,36 +5,39 @@ import (
 	"fmt"
 )
 
-// This file implements intra-buffer chunk pipelining — the third of the
-// paper's three system optimizations (overlap, tensor fusion, pipelining;
-// §III-B). A sealed fusion buffer no longer has to be encoded in full,
-// shipped in full and decoded in full: the pipelined collectives split the
-// buffer into m pipeline segments and keep several segments in flight at
-// once, so segment s+1's messages are on the wire while segment s is still
-// being reduced (or while its chunk is still being encoded/decoded by the
-// caller).
+// This file implements the one schedule behind every collective, with
+// intra-buffer chunk pipelining — the third of the paper's three system
+// optimizations (overlap, tensor fusion, pipelining; §III-B). A sealed
+// fusion buffer no longer has to be encoded in full, shipped in full and
+// decoded in full: the collectives split the buffer into m pipeline segments
+// and keep several segments in flight at once, so segment s+1's messages are
+// on the wire while segment s is still being reduced (or while its chunk is
+// still being encoded/decoded by the caller). m = 1 is the unpipelined
+// collective (AllReduceSum, AllGather).
 //
 // # Segment protocol
 //
-// Every message carries an 8-byte header — two little-endian uint32 words
-// (segment index, protocol step) — in front of the float payload. Per-link
-// delivery is FIFO and each segment's messages are sent in step order, so a
-// receiver demultiplexes by reading the tag of whatever message arrives next
-// and crediting it to that segment's state machine; no reordering buffer is
-// needed, and a tag that does not match the segment's expected next step is
-// a protocol violation surfaced as an error rather than corrupted data.
+// Every message carries an 8-byte tag — two little-endian uint32 words
+// (segment index, protocol step) — behind its payload, so the payload keeps
+// the leased buffer's alignment for the bulk codec and the fused
+// decode+accumulate kernel. Per-link delivery is FIFO and each segment's
+// messages are sent in step order, so a receiver demultiplexes by reading
+// the tag of whatever message arrives next and crediting it to that
+// segment's state machine; no reordering buffer is needed, and a tag that
+// does not match the segment's expected next step is a protocol violation
+// surfaced as an error rather than corrupted data.
 //
 // # Bit-identity
 //
-// AllReduceSumPipelined partitions the buffer so that every element keeps
-// the ring-chunk index it has under the unpipelined AllReduceSum: segment j
-// of ring chunk c is the j-th sub-slice of chunkRange(n, p, c). Each segment
-// then runs the standard p-1 reduce-scatter + p-1 all-gather schedule over
-// its sub-slices. Per element, the additions happen in exactly the same
-// order as the unpipelined ring (the partial for chunk c still starts at
-// rank c and travels the same path), so the pipelined result is bit-for-bit
-// identical to AllReduceSum — which is what lets the trainer's
-// PipelineChunks knob promise bit-identical models at any chunk count.
+// Segment j of ring chunk c is the j-th sub-slice of chunkRange(n, p, c), so
+// every element keeps its ring-chunk index at any m. Each segment runs the
+// standard p-1 reduce-scatter + p-1 all-gather ring schedule over its
+// sub-slices, and at m = 1 the one segment is the whole ring chunk: that is
+// the ring order. Per element, the additions happen in exactly that order
+// at every m (the partial for chunk c starts at rank c and travels the same
+// path), so the result is bit-for-bit identical for every segment count —
+// which is what lets the trainer's PipelineChunks knob promise bit-identical
+// models at any chunk count.
 
 // pipelineWindow bounds how many segments have messages in flight at once.
 // Each in-window segment holds at most one outstanding message per link, so
@@ -42,24 +45,26 @@ import (
 // messages for the in-process transport, 256 for TCP).
 const pipelineWindow = 8
 
-// pipeTagBytes is the segment/step header prepended to every pipelined
-// message. 8 bytes keeps the float payload 8-aligned for the fused
-// decode+accumulate kernel.
+// pipeTagBytes is the segment/step tag appended to every message.
 const pipeTagBytes = 8
 
-// putPipeTag writes the (segment, step) header.
+// putPipeTag writes the (segment, step) tag into msg's last 8 bytes.
 //
 //acpvet:borrows
-func putPipeTag(dst []byte, seg, step int) {
-	binary.LittleEndian.PutUint32(dst, uint32(seg))
-	binary.LittleEndian.PutUint32(dst[4:], uint32(step))
+func putPipeTag(msg []byte, seg, step int) {
+	tag := msg[len(msg)-pipeTagBytes:]
+	binary.LittleEndian.PutUint32(tag, uint32(seg))
+	binary.LittleEndian.PutUint32(tag[4:], uint32(step))
 }
 
-// pipeTag reads the (segment, step) header.
+// pipeTag splits a message (at least pipeTagBytes long) into its payload
+// and its (segment, step) tag.
 //
 //acpvet:borrows
-func pipeTag(msg []byte) (seg, step int) {
-	return int(binary.LittleEndian.Uint32(msg)), int(binary.LittleEndian.Uint32(msg[4:]))
+func pipeTag(msg []byte) (payload []byte, seg, step int) {
+	n := len(msg) - pipeTagBytes
+	tag := msg[n:]
+	return msg[:n:n], int(binary.LittleEndian.Uint32(tag)), int(binary.LittleEndian.Uint32(tag[4:]))
 }
 
 // segmentRange returns the half-open sub-range of [lo, hi) covered by
@@ -78,19 +83,17 @@ func pipeSegment(n, p, m, c, j int) (lo, hi int) {
 	return segmentRange(clo, chi, m, j)
 }
 
-// AllReduceSumPipelined is AllReduceSum with m pipeline segments in flight:
+// AllReduceSumPipelined is the ring all-reduce with m pipeline segments:
 // the buffer's ring schedule is split so that up to pipelineWindow segments
 // progress concurrently, hiding per-step wire time behind the reduction of
-// other segments. m <= 1 degenerates to the unpipelined ring. The result is
-// bit-for-bit identical to AllReduceSum for every m (see the file comment).
+// other segments. m <= 1 runs one segment, the plain ring. The result is
+// bit-for-bit identical for every m (see the file comment).
 func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 	p := c.t.Size()
 	if p == 1 || len(buf) == 0 {
 		return nil
 	}
-	if m <= 1 {
-		return c.AllReduceSum(buf)
-	}
+	m = max(m, 1)
 	rank := c.t.Rank()
 	next := (rank + 1) % p
 	prev := (rank - 1 + p) % p
@@ -107,9 +110,9 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 			chunk = ((rank+1-(s-(p-1)))%p + p) % p
 		}
 		lo, hi := pipeSegment(len(buf), p, m, chunk, j)
-		msg := c.t.Lease(pipeTagBytes + 8*(hi-lo))
+		msg := c.t.Lease(8*(hi-lo) + pipeTagBytes)
+		encodeFloatsInto(msg[:8*(hi-lo)], buf[lo:hi])
 		putPipeTag(msg, j, s)
-		encodeFloatsInto(msg[pipeTagBytes:], buf[lo:hi])
 		if err := c.t.SendNoCopy(next, msg); err != nil {
 			c.t.Release(msg)
 			return fmt.Errorf("comm: pipelined all-reduce send seg %d step %d: %w", j, s, err)
@@ -117,10 +120,15 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 		return nil
 	}
 
-	window := min(m, pipelineWindow)
-	expect := make([]int, m) // next expected step per started segment
+	// Every rank opens the same window and answers each message by the same
+	// rule, so every link carries one fixed message order and segments
+	// complete in the order they started: the live segments are always
+	// [completed, started), at most pipelineWindow of them (the check below
+	// rejects any other order). expect[j%pipelineWindow] is live segment j's
+	// next step — a fixed ring of slots, so no call allocates.
+	var expect [pipelineWindow]int
 	started := 0
-	for ; started < window; started++ {
+	for ; started < min(m, pipelineWindow); started++ {
 		if err := send(started, 0); err != nil {
 			return err
 		}
@@ -134,10 +142,11 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 			c.t.Release(data)
 			return fmt.Errorf("comm: pipelined all-reduce short message (%d bytes)", len(data))
 		}
-		j, s := pipeTag(data)
-		if j < 0 || j >= started || s != expect[j] {
+		payload, j, s := pipeTag(data)
+		last := s == totalSteps-1
+		if j < completed || j >= started || s != expect[j%pipelineWindow] || (last && j != completed) {
 			c.t.Release(data)
-			return fmt.Errorf("comm: pipelined all-reduce protocol violation: got seg %d step %d (started %d)", j, s, started)
+			return fmt.Errorf("comm: pipelined all-reduce protocol violation: got seg %d step %d (completed %d, started %d)", j, s, completed, started)
 		}
 		// Credit the message: reduce-scatter receives accumulate chunk
 		// (rank-s-1); all-gather receives overwrite chunk (rank-s').
@@ -149,30 +158,30 @@ func (c *Communicator) AllReduceSumPipelined(buf []float64, m int) error {
 			chunk = ((rank-(s-(p-1)))%p + p) % p
 		}
 		lo, hi := pipeSegment(len(buf), p, m, chunk, j)
-		if err := floatPayloadLen(data[pipeTagBytes:], hi-lo); err != nil {
+		if err := floatPayloadLen(payload, hi-lo); err != nil {
 			c.t.Release(data)
 			return fmt.Errorf("comm: pipelined all-reduce seg %d step %d: %w", j, s, err)
 		}
 		if reduce {
-			addFloatsFrom(buf[lo:hi], data[pipeTagBytes:])
+			addFloatsFrom(buf[lo:hi], payload)
 		} else {
-			decodeFloatsInto(buf[lo:hi], data[pipeTagBytes:])
+			decodeFloatsInto(buf[lo:hi], payload)
 		}
 		c.t.Release(data)
-		expect[j] = s + 1
-		switch {
-		case s+1 < totalSteps:
+		if !last {
+			expect[j%pipelineWindow] = s + 1
 			if err := send(j, s+1); err != nil {
 				return err
 			}
-		default:
-			completed++
-			if started < m { // slide the window: admit the next segment
-				if err := send(started, 0); err != nil {
-					return err
-				}
-				started++
+			continue
+		}
+		completed++
+		if started < m { // slide the window: admit the next segment
+			expect[started%pipelineWindow] = 0
+			if err := send(started, 0); err != nil {
+				return err
 			}
+			started++
 		}
 	}
 	return nil
@@ -194,7 +203,11 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 	}
 	p := c.t.Size()
 	rank := c.t.Rank()
-	selfViews := make([]*Gathered, m)
+	// selfViews[i%pipelineWindow] stages live chunk i's handle until the
+	// sink takes it. Chunks complete in order and at most pipelineWindow are
+	// produced ahead of the oldest, so the fixed ring never collides and no
+	// call allocates it.
+	var selfViews [pipelineWindow]*Gathered
 
 	// produceAndSend builds chunk i's local blob and forwards it to every
 	// peer with the (chunk, 0) tag; the transport buffers the wire side, so
@@ -202,7 +215,7 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 	produceAndSend := func(i int) error {
 		blob := source(i)
 		g := newGathered(c.t, p)
-		selfViews[i] = g
+		selfViews[i%pipelineWindow] = g
 		if p == 1 {
 			self := c.t.Lease(len(blob))
 			copy(self, blob)
@@ -210,12 +223,12 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 			return nil
 		}
 		//acpvet:ignore p>1 here, so the peer-send loop always runs and settles msg on every path
-		msg := c.t.Lease(pipeTagBytes + len(blob))
+		msg := c.t.Lease(len(blob) + pipeTagBytes)
+		copy(msg, blob)
 		putPipeTag(msg, i, 0)
-		copy(msg[pipeTagBytes:], blob)
 		if p > 2 {
 			c.t.Retain(msg) // shared across several receivers
-			g.setPayload(rank, msg[pipeTagBytes:], msg)
+			g.setPayload(rank, msg[:len(blob):len(blob)], msg)
 		} else {
 			self := c.t.Lease(len(blob))
 			copy(self, blob)
@@ -241,7 +254,7 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 	// guarantees peers' chunks arrive in order; the tag is verified, not
 	// trusted); the sink consumes chunk i while later chunks are still being
 	// produced and delivered.
-	abort := func() { abortGathers(selfViews) }
+	abort := func() { abortGathers(selfViews[:]) }
 	produced := 0
 	for ; produced < min(m, pipelineWindow); produced++ {
 		if err := produceAndSend(produced); err != nil {
@@ -250,7 +263,7 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 		}
 	}
 	for i := 0; i < m; i++ {
-		g := selfViews[i]
+		g := selfViews[i%pipelineWindow]
 		for d := 1; d < p; d++ {
 			from := (rank - d + p) % p
 			data, err := c.t.Recv(from)
@@ -263,15 +276,16 @@ func (c *Communicator) AllGatherPipelined(m int, source func(i int) []byte, sink
 				abort()
 				return fmt.Errorf("comm: pipelined all-gather short message (%d bytes)", len(data))
 			}
-			if chunk, _ := pipeTag(data); chunk != i {
+			payload, chunk, _ := pipeTag(data)
+			if chunk != i {
 				c.t.Release(data)
 				abort()
 				return fmt.Errorf("comm: pipelined all-gather protocol violation: got chunk %d from %d, want %d", chunk, from, i)
 			}
-			g.setPayload(from, data[pipeTagBytes:], data)
+			g.setPayload(from, payload, data)
 		}
 		g.finish()
-		selfViews[i] = nil // ownership passes to the sink
+		selfViews[i%pipelineWindow] = nil // ownership passes to the sink
 		if err := sink(i, g); err != nil {
 			abort()
 			return fmt.Errorf("comm: pipelined all-gather sink chunk %d: %w", i, err)

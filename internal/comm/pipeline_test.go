@@ -25,43 +25,55 @@ func makePipeInputs(p, n int, seed int64) [][]float64 {
 	return inputs
 }
 
-// TestConformancePipelinedAllReduceBitIdentical: the pipelined ring must
-// produce bit-for-bit the result of the unpipelined ring for every segment
-// count — including m larger than the per-chunk element count (empty
+// ringReference is the scalar oracle for the ring all-reduce: every element
+// of ring chunk c is summed in ring order — the partial starts at rank c and
+// each later rank adds its own value to it — which is the association the
+// ring schedule must keep at every segment count.
+func ringReference(inputs [][]float64, p int) []float64 {
+	n := len(inputs[0])
+	out := make([]float64, n)
+	for c := 0; c < p; c++ {
+		lo, hi := chunkRange(n, p, c)
+		for i := lo; i < hi; i++ {
+			acc := inputs[c][i]
+			for k := 1; k < p; k++ {
+				acc = inputs[(c+k)%p][i] + acc
+			}
+			out[i] = acc
+		}
+	}
+	return out
+}
+
+// checkBitIdentical fails unless got matches want bit for bit.
+func checkBitIdentical(got, want []float64) error {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("elem %d: got %x, ring reference %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+	return nil
+}
+
+// TestConformancePipelinedAllReduceBitIdentical: the ring all-reduce must
+// produce bit-for-bit the scalar ring-order sum for every segment count —
+// m = 1 (the plain ring), m larger than the per-chunk element count (empty
 // segments) and m above the in-flight window.
 func TestConformancePipelinedAllReduceBitIdentical(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 5} {
 		for _, n := range []int{0, 1, 7, 33, 257, 1000} {
-			for _, m := range []int{1, 2, 3, 8, 64} {
+			for _, m := range []int{1, 2, 3, 8, 16, 64} {
 				t.Run(fmt.Sprintf("p=%d/n=%d/m=%d", p, n, m), func(t *testing.T) {
 					forEachTransport(t, p, func(t *testing.T, ts []Transport) {
 						inputs := makePipeInputs(p, n, int64(p*100000+n*100+m))
-						want := make([][]float64, p)
-						runGroup(t, ts, func(c *Communicator) error {
-							buf := append([]float64(nil), inputs[c.Rank()]...)
-							if err := c.AllReduceSum(buf); err != nil {
-								return err
-							}
-							want[c.Rank()] = buf
-							return nil
-						})
-						got := make([][]float64, p)
+						want := ringReference(inputs, p)
 						runGroup(t, ts, func(c *Communicator) error {
 							buf := append([]float64(nil), inputs[c.Rank()]...)
 							if err := c.AllReduceSumPipelined(buf, m); err != nil {
 								return err
 							}
-							got[c.Rank()] = buf
-							return nil
+							return checkBitIdentical(buf, want)
 						})
-						for r := 0; r < p; r++ {
-							for i := 0; i < n; i++ {
-								if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
-									t.Fatalf("rank %d elem %d: pipelined %x, plain %x",
-										r, i, math.Float64bits(got[r][i]), math.Float64bits(want[r][i]))
-								}
-							}
-						}
 					})
 				})
 			}
@@ -69,13 +81,15 @@ func TestConformancePipelinedAllReduceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConformancePipelinedAllReduceAsync drives the pipelined ring through
-// the async launch queue, interleaved with plain async collectives to check
-// the FIFO schedule holds across operation kinds.
+// TestConformancePipelinedAllReduceAsync drives the ring through the async
+// launch queue at several segment counts back to back, checking the FIFO
+// schedule holds and every launch matches the scalar ring reference.
 func TestConformancePipelinedAllReduceAsync(t *testing.T) {
-	const p, n, m = 3, 129, 4
+	const p, n = 3, 129
+	segments := []int{4, 1, 16}
 	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-		inputs, want := makeInputs(p, n, 77)
+		inputs := makePipeInputs(p, n, 77)
+		want := ringReference(inputs, p)
 		var wg sync.WaitGroup
 		errs := make([]error, p)
 		for r := 0; r < p; r++ {
@@ -84,33 +98,27 @@ func TestConformancePipelinedAllReduceAsync(t *testing.T) {
 				defer wg.Done()
 				a := NewAsync(NewCommunicator(ts[r]))
 				defer a.Close()
-				piped := append([]float64(nil), inputs[r]...)
-				plain := append([]float64(nil), inputs[r]...)
-				h1 := a.AllReduceSumPipelinedAsync(piped, m)
-				h2 := a.AllReduceSumAsync(plain)
-				if err := h1.Wait(); err != nil {
-					errs[r] = err
-					// Unblock h2's collective before draining it below.
-					for _, tr := range ts {
-						tr.Close()
-					}
+				bufs := make([][]float64, len(segments))
+				handles := make([]*Pending, len(segments))
+				for k, m := range segments {
+					bufs[k] = append([]float64(nil), inputs[r]...)
+					handles[k] = a.AllReduceSumAsync(bufs[k], m)
 				}
-				if err := h2.Wait(); err != nil {
-					if errs[r] == nil {
-						errs[r] = err
-						for _, tr := range ts {
-							tr.Close()
+				for k, h := range handles {
+					if err := h.Wait(); err != nil {
+						if errs[r] == nil {
+							errs[r] = err
+							// Unblock the later collectives before draining them.
+							for _, tr := range ts {
+								tr.Close()
+							}
 						}
+						continue
 					}
-					return
-				}
-				if errs[r] != nil {
-					return
-				}
-				for i := range piped {
-					if math.Abs(piped[i]-want[i]) > 1e-9 || math.Float64bits(piped[i]) != math.Float64bits(plain[i]) {
-						errs[r] = fmt.Errorf("elem %d: pipelined %v plain %v want %v", i, piped[i], plain[i], want[i])
-						return
+					if errs[r] == nil {
+						if err := checkBitIdentical(bufs[k], want); err != nil {
+							errs[r] = fmt.Errorf("m=%d: %w", segments[k], err)
+						}
 					}
 				}
 			}(r)
@@ -193,7 +201,7 @@ func TestConformancePipelinedCloseDuringFlight(t *testing.T) {
 		// pipelined schedule until the group is closed underneath it.
 		a := NewAsync(NewCommunicator(ts[0]))
 		defer a.Close()
-		stuck := a.AllReduceSumPipelinedAsync(make([]float64, 999), 4)
+		stuck := a.AllReduceSumAsync(make([]float64, 999), 4)
 		time.Sleep(10 * time.Millisecond)
 		for _, tr := range ts {
 			tr.Close()

@@ -9,7 +9,8 @@ import (
 // bufPool recycles message buffers so steady-state collectives allocate
 // nothing: a ring all-reduce leases a send buffer per step, the peer
 // releases the received buffer after accumulating it, and the freed buffer
-// feeds the next step's lease. Buffers are binned by power-of-two capacity.
+// feeds the next step's lease. Buffers are binned by power-of-two capacity
+// class, each with poolHeadroom bytes of slack above its class.
 //
 // # The pooled-buffer ownership contract (normative)
 //
@@ -74,8 +75,21 @@ func newBufPool() *bufPool {
 	}
 }
 
-// sizeClass returns the power-of-two bin a buffer of capacity c files under.
+// poolHeadroom is the fixed slack every pooled buffer carries above its
+// power-of-two class, so a power-of-two payload plus a small trailer (the
+// 8-byte segment tag, the 4-byte integrity checksum) stays in the payload's
+// own class instead of doubling into the next one.
+const poolHeadroom = 64
+
+// leaseClass returns the power-of-two class whose buffers (capacity class +
+// poolHeadroom) are the smallest that hold n bytes.
+func leaseClass(n int) int {
+	return 1 << bits.Len(uint(max(n-poolHeadroom-1, 0)))
+}
+
+// sizeClass returns the class a buffer of capacity c files under.
 func sizeClass(c int) int {
+	c -= poolHeadroom
 	if c <= 0 {
 		return 0
 	}
@@ -88,7 +102,7 @@ func (p *bufPool) lease(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	want := 1 << bits.Len(uint(n-1)) // ceil to pow2 so bins stay coarse
+	want := leaseClass(n) // pow2 classes so bins stay coarse
 	p.mu.Lock()
 	if len(p.out) > outSweepHighWater {
 		p.sweepLocked()
@@ -103,7 +117,7 @@ func (p *bufPool) lease(n int) []byte {
 		}
 	}
 	p.mu.Unlock()
-	buf := make([]byte, n, want)
+	buf := make([]byte, n, want+poolHeadroom)
 	p.mu.Lock()
 	p.out[weak.Make(&buf[0])] = struct{}{}
 	p.mu.Unlock()

@@ -49,6 +49,26 @@ func TestBufPoolRecycles(t *testing.T) {
 	p.retain(z)
 }
 
+// TestBufPoolHeadroom: a power-of-two payload plus a small trailer (the
+// segment tag) must stay in the payload's own class — recycled, and with a
+// capacity below the next power of two.
+func TestBufPoolHeadroom(t *testing.T) {
+	p := newBufPool()
+	for _, k := range []int{7, 10, 16} {
+		n := 1<<k + pipeTagBytes
+		a := p.lease(n)
+		p.release(a)
+		b := p.lease(n)
+		if &b[:cap(b)][0] != &a[:cap(a)][0] {
+			t.Errorf("2^%d+%d: second lease did not reuse the buffer", k, pipeTagBytes)
+		}
+		if cap(b) >= 1<<(k+1) {
+			t.Errorf("2^%d+%d: cap %d, want below 2^%d", k, pipeTagBytes, cap(b), k+1)
+		}
+		p.release(b)
+	}
+}
+
 // compressCollectives adapts *Communicator to compress.Collectives the way
 // the trainer does (interface-typed Gathered result).
 type compressCollectives struct{ c *Communicator }

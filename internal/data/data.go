@@ -1,6 +1,6 @@
 // Package data provides procedurally generated datasets for the convergence
 // experiments. The paper trains on CIFAR-10; offline we substitute synthetic
-// classification tasks (documented in DESIGN.md): class-prototype images
+// classification tasks: class-prototype images
 // with multiplicative intensity jitter and additive Gaussian noise, and
 // Gaussian-mixture vector tasks. Both are non-trivially learnable, so the
 // relative convergence of S-SGD, Power-SGD and ACP-SGD — the quantity Figs.

@@ -35,7 +35,7 @@ func Registry() map[string]Runner {
 		"fig13":  wrap(Fig13),
 		"micro":  static(MicroFusion),
 
-		// Extensions beyond the paper (DESIGN.md §7): sensitivity studies
+		// Extensions beyond the paper: sensitivity studies
 		// on the simulator's calibrated constants and real measurements of
 		// the substrate on this host.
 		"ablation-interference": wrap(AblationInterference),

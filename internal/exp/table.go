@@ -1,7 +1,7 @@
 // Package exp regenerates every table and figure of the paper's evaluation
-// (the per-experiment index lives in DESIGN.md). Each experiment returns a
-// Table — figure-style experiments return their data series as rows — which
-// cmd/acpbench renders and EXPERIMENTS.md records.
+// (the registry in registry.go indexes them by name). Each experiment
+// returns a Table — figure-style experiments return their data series as
+// rows — which cmd/acpbench renders.
 package exp
 
 import (

@@ -7,7 +7,7 @@
 //     ratios are reproduced from these tables, not hard-coded.
 //  2. Small trainable models (MiniVGG, MiniResNet, MLP) for the convergence
 //     experiments — CPU-scale stand-ins for the paper's VGG-16/ResNet-18 on
-//     CIFAR-10 (see DESIGN.md substitutions).
+//     CIFAR-10 (synthetic data, float64 on CPU; see package data).
 package models
 
 import (

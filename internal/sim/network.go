@@ -3,7 +3,7 @@
 // running one training iteration of data-parallel SGD with a given gradient
 // aggregation method and system-optimization mode.
 //
-// It substitutes for hardware we do not have (see DESIGN.md): communication
+// It substitutes for a GPU cluster this repo does not run on: communication
 // follows the alpha-beta cost model with ring all-reduce / all-gather
 // complexities (Table II), computation follows per-layer FLOP shares scaled
 // by calibrated per-model FF&BP times, compression costs follow the Table II

@@ -72,11 +72,11 @@ type Config struct {
 	// PipelineChunks enables intra-buffer chunk pipelining (the paper's
 	// third system optimization, §III-B): a sealed buffer is encoded,
 	// shipped and decoded in PipelineChunks chunks so compression compute
-	// overlaps wire time inside every buffer. Additive buffers run the
-	// pipelined ring all-reduce; gather buffers launch one collective per
-	// encoded chunk and decode chunks as they land. 0 (or 1) keeps today's
-	// unpipelined path. Every chunk count produces bit-identical models —
-	// the unpipelined path is the replay baseline, asserted in tests.
+	// overlaps wire time inside every buffer. Additive buffers run the ring
+	// all-reduce over PipelineChunks segments; gather buffers launch one
+	// collective per encoded chunk and decode chunks as they land. 0 (or 1)
+	// keeps the unpipelined path. Every chunk count produces bit-identical
+	// models — the unpipelined path is the replay baseline, asserted in tests.
 	PipelineChunks int
 
 	// CheckNumerics arms the numeric-health guard: every step each worker

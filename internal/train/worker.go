@@ -186,15 +186,11 @@ func (w *worker) schedule(launch func()) {
 	launch()
 }
 
-// sealAdditive launches the ring all-reduce for a sealed fused buffer —
-// pipelined over PipelineChunks segments when the knob is set (bit-identical
-// to the plain ring, see comm.AllReduceSumPipelined).
+// sealAdditive launches the ring all-reduce for a sealed fused buffer over
+// PipelineChunks segments (0 and 1 both run one segment; every segment count
+// is bit-identical, see comm.AllReduceSumPipelined).
 func (w *worker) sealAdditive(buf *additiveBuffer) {
-	if m := w.cfg.PipelineChunks; m > 1 {
-		w.schedule(func() { buf.pending = w.async.AllReduceSumPipelinedAsync(buf.data, m) })
-		return
-	}
-	w.schedule(func() { buf.pending = w.async.AllReduceSumAsync(buf.data) })
+	w.schedule(func() { buf.pending = w.async.AllReduceSumAsync(buf.data, w.cfg.PipelineChunks) })
 }
 
 // sealGather compresses the packed gradients (inline, on the worker thread,
