@@ -473,76 +473,112 @@ type leaseAccountant interface{ Outstanding() int }
 // acpvet enforces statically: after a workload touching every collective
 // family drains, the group holds zero outstanding leases — every buffer was
 // either released back to its pool or retained out of it. p = 3 keeps the
-// all-gathers on their retained shared-send branch. TCP send buffers
-// recycle asynchronously (writer goroutines release them after the socket
-// write), so the assertion polls until the accounting settles.
+// all-gathers on their retained shared-send branch. The contract must hold
+// through the pass-through decorator stacks too (each under a pacer, as the
+// benchmark stacks them), so the workload reruns on each stack while the
+// accounting is read from the undecorated transports.
 func TestConformanceNoLeak(t *testing.T) {
-	const p, n = 3, 257
+	const p = 3
 	forEachTransport(t, p, func(t *testing.T, ts []Transport) {
-		runGroup(t, ts, func(c *Communicator) error {
-			buf := make([]float64, n)
-			for i := range buf {
-				buf[i] = float64(c.Rank()*1000 + i)
-			}
-			if err := c.AllReduceSum(buf); err != nil {
-				return err
-			}
-			if err := c.AllReduceSumPipelined(buf, 4); err != nil {
-				return err
-			}
-			g, err := c.AllGather([]byte{byte(c.Rank()), 7, 9})
+		runGroup(t, ts, noLeakWorkload)
+		assertNoLeak(t, ts)
+	})
+	stacks := []struct {
+		name string
+		wrap func(Transport) Transport
+	}{
+		{"latency", func(t Transport) Transport { return WithLatency(t, time.Microsecond) }},
+		{"fault", func(t Transport) Transport { return WithFaultAfter(t, 1<<30) }},
+		{"deadline", func(t Transport) Transport { return WithDeadline(t, 10*time.Second) }},
+		{"stall", func(t Transport) Transport { return WithStall(t, 1<<30) }},
+		{"integrity", WithIntegrity},
+	}
+	for _, s := range stacks {
+		t.Run(s.name, func(t *testing.T) {
+			forEachTransport(t, p, func(t *testing.T, bare []Transport) {
+				pacer := NewBandwidthPacer(1e12)
+				ts := make([]Transport, p)
+				for i := range bare {
+					ts[i] = pacer.Wrap(s.wrap(bare[i]))
+				}
+				runGroup(t, ts, noLeakWorkload)
+				assertNoLeak(t, bare)
+			})
+		})
+	}
+}
+
+// noLeakWorkload touches every collective family once.
+func noLeakWorkload(c *Communicator) error {
+	const n = 257
+	buf := make([]float64, n)
+	for i := range buf {
+		buf[i] = float64(c.Rank()*1000 + i)
+	}
+	if err := c.AllReduceSum(buf); err != nil {
+		return err
+	}
+	if err := c.AllReduceSumPipelined(buf, 4); err != nil {
+		return err
+	}
+	g, err := c.AllGather([]byte{byte(c.Rank()), 7, 9})
+	if err != nil {
+		return err
+	}
+	g.Release()
+	err = c.AllGatherPipelined(4,
+		func(i int) []byte { return []byte{byte(c.Rank()), byte(i)} },
+		func(_ int, g *Gathered) error {
+			g.Release()
+			return nil
+		})
+	if err != nil {
+		return err
+	}
+	// The trainer's chunked gather buffers: an async pipelined round,
+	// fed, consumed chunk by chunk and drained.
+	a := NewAsync(c)
+	defer a.Close()
+	for _, m := range []int{1, 4} {
+		pg := NewPipelinedGather(m)
+		a.LaunchPipelinedGather(pg)
+		for i := 0; i < m; i++ {
+			pg.Feed([]byte{byte(c.Rank()), byte(m), byte(i)})
+		}
+		for i := 0; i < m; i++ {
+			g, err := pg.Next()
 			if err != nil {
+				pg.Drain()
 				return err
 			}
 			g.Release()
-			err = c.AllGatherPipelined(4,
-				func(i int) []byte { return []byte{byte(c.Rank()), byte(i)} },
-				func(_ int, g *Gathered) error {
-					g.Release()
-					return nil
-				})
-			if err != nil {
-				return err
-			}
-			// The trainer's chunked gather buffers: an async pipelined round,
-			// fed, consumed chunk by chunk and drained.
-			a := NewAsync(c)
-			defer a.Close()
-			for _, m := range []int{1, 4} {
-				pg := NewPipelinedGather(m)
-				a.LaunchPipelinedGather(pg)
-				for i := 0; i < m; i++ {
-					pg.Feed([]byte{byte(c.Rank()), byte(m), byte(i)})
-				}
-				for i := 0; i < m; i++ {
-					g, err := pg.Next()
-					if err != nil {
-						pg.Drain()
-						return err
-					}
-					g.Release()
-				}
-				pg.Drain()
-			}
-			return nil
-		})
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			total := 0
-			for _, tr := range ts {
-				acct, ok := tr.(leaseAccountant)
-				if !ok {
-					t.Fatalf("transport %T does not expose lease accounting", tr)
-				}
-				total += acct.Outstanding()
-			}
-			if total == 0 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d pool buffers still outstanding after the workload drained", total)
-			}
-			time.Sleep(time.Millisecond)
 		}
-	})
+		pg.Drain()
+	}
+	return nil
+}
+
+// assertNoLeak waits for the group's lease accounting to reach zero. TCP
+// send buffers recycle asynchronously (writer goroutines release them after
+// the socket write), so it polls until the accounting settles.
+func assertNoLeak(t *testing.T, ts []Transport) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		total := 0
+		for _, tr := range ts {
+			acct, ok := tr.(leaseAccountant)
+			if !ok {
+				t.Fatalf("transport %T does not expose lease accounting", tr)
+			}
+			total += acct.Outstanding()
+		}
+		if total == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pool buffers still outstanding after the workload drained", total)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

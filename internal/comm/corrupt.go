@@ -31,21 +31,13 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// corruptTransport flips payload bits on the way out with probability p per
-// send, modeling silent wire or DMA corruption below every software check.
-type corruptTransport struct {
-	Transport
-	mu  sync.Mutex
-	rng *rand.Rand
-	p   float64
-}
-
 // WithCorrupt wraps t so each Send/SendNoCopy flips one uniformly chosen
 // payload bit with probability p, using a seeded deterministic stream —
-// the silent-corruption sibling of WithFlaky and WithStall. The flip is
-// never applied in place: inproc delivery is by reference and a retained
-// buffer may be mid-send to other peers, so the decorator leases a fresh
-// buffer, copies, and flips the copy. Receives pass through untouched (the
+// the silent-corruption sibling of WithFlaky and WithStall, modeling wire or
+// DMA corruption below every software check. The flip is never applied in
+// place: inproc delivery is by reference and a retained buffer may be
+// mid-send to other peers, so the decorator sends a flipped leased copy in
+// the buffer's place (see substitute). Receives pass through untouched (the
 // receive-side defenses — frame CRC, WithIntegrity, decode validation —
 // are exactly what this decorator exists to exercise). A non-positive p
 // returns t unchanged.
@@ -53,64 +45,25 @@ func WithCorrupt(t Transport, p float64, seed int64) Transport {
 	if p <= 0 {
 		return t
 	}
-	return &corruptTransport{Transport: t, rng: rand.New(rand.NewSource(seed)), p: p}
-}
-
-// flipBit draws one corruption decision for an n-byte payload: a bit index
-// to flip, or -1 to pass the send through clean. The mutex serializes the
-// rng: collectives send from multiple goroutines.
-func (c *corruptTransport) flipBit(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n == 0 || c.rng.Float64() >= c.p {
-		return -1
-	}
-	return c.rng.Intn(n * 8)
-}
-
-// corrupted returns a leased copy of data with one bit flipped.
-func (c *corruptTransport) corrupted(data []byte, bit int) []byte {
-	evil := c.Transport.Lease(len(data))
-	copy(evil, data)
-	evil[bit>>3] ^= 1 << uint(bit&7)
-	return evil
-}
-
-func (c *corruptTransport) Send(to int, data []byte) error {
-	bit := c.flipBit(len(data))
-	if bit < 0 {
-		return c.Transport.Send(to, data)
-	}
-	evil := c.corrupted(data, bit)
-	if err := c.Transport.SendNoCopy(to, evil); err != nil {
-		c.Transport.Release(evil)
-		return err
-	}
-	return nil
-}
-
-func (c *corruptTransport) SendNoCopy(to int, buf []byte) error {
-	bit := c.flipBit(len(buf))
-	if bit < 0 {
-		return c.Transport.SendNoCopy(to, buf)
-	}
-	evil := c.corrupted(buf, bit)
-	if err := c.Transport.SendNoCopy(to, evil); err != nil {
-		c.Transport.Release(evil)
-		return err
-	}
-	// The flipped copy went out in the original's place; the caller's lease
-	// was consumed from its point of view, so recycle it here (a no-op for
-	// caller-owned or retained buffers, per the pool contract).
-	c.Transport.Release(buf)
-	return nil
-}
-
-// integrityTransport seals every outgoing message with a CRC32C trailer and
-// verifies it on receive, turning any bit flip between the two endpoints'
-// decorators into a *CorruptError instead of silent gradient damage.
-type integrityTransport struct {
-	Transport
+	// The mutex serializes the rng: collectives send from multiple
+	// goroutines.
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return &decorator{Transport: t, send: func(to int, buf []byte) error {
+		bit := -1
+		mu.Lock()
+		if len(buf) > 0 && rng.Float64() < p {
+			bit = rng.Intn(len(buf) * 8)
+		}
+		mu.Unlock()
+		if bit < 0 {
+			return t.SendNoCopy(to, buf)
+		}
+		out := t.Lease(len(buf))
+		copy(out, buf)
+		out[bit>>3] ^= 1 << uint(bit&7)
+		return substitute(t, to, buf, out)
+	}}
 }
 
 // WithIntegrity wraps t with end-to-end message checksums: Send/SendNoCopy
@@ -123,53 +76,40 @@ type integrityTransport struct {
 // retained buffer may be mid-send to several peers). Both endpoints of a
 // link must be wrapped or every payload fails verification.
 func WithIntegrity(t Transport) Transport {
-	return &integrityTransport{Transport: t}
+	return &decorator{
+		Transport: t,
+		send: func(to int, buf []byte) error {
+			sealed := t.Lease(len(buf) + frameTrailerLen)
+			n := copy(sealed, buf)
+			binary.BigEndian.PutUint32(sealed[n:], crc32.Checksum(buf, crc32cTable))
+			return substitute(t, to, buf, sealed)
+		},
+		// The truncation is a full-width reslice of the same backing array,
+		// so the receiver's eventual Release still recycles the lease.
+		recv: func(from int) ([]byte, error) {
+			buf, err := t.Recv(from)
+			if err != nil {
+				return nil, err
+			}
+			n := len(buf) - frameTrailerLen
+			if n < 0 || crc32.Checksum(buf[:n], crc32cTable) != binary.BigEndian.Uint32(buf[n:]) {
+				t.Release(buf)
+				return nil, &CorruptError{Op: "recv", Peer: from}
+			}
+			return buf[:n], nil
+		},
+	}
 }
 
-// seal leases a fresh buffer, appends the checksum trailer, and sends it.
-// On failure the sealed copy is released and the caller keeps its buffer,
-// per the failed-send ownership rule.
-func (g *integrityTransport) seal(to int, data []byte) error {
-	sealed := g.Transport.Lease(len(data) + frameTrailerLen)
-	n := copy(sealed, data)
-	binary.BigEndian.PutUint32(sealed[n:], crc32.Checksum(data, crc32cTable))
-	if err := g.Transport.SendNoCopy(to, sealed); err != nil {
-		g.Transport.Release(sealed)
+// substitute sends out, a leased copy of buf, in buf's place. On failure it
+// releases the copy and the caller keeps buf, per the failed-send ownership
+// rule. On success buf was consumed from the caller's point of view, so it
+// is released (a no-op for retained or caller-owned buffers).
+func substitute(t Transport, to int, buf, out []byte) error {
+	if err := t.SendNoCopy(to, out); err != nil {
+		t.Release(out)
 		return err
 	}
+	t.Release(buf)
 	return nil
-}
-
-func (g *integrityTransport) Send(to int, data []byte) error {
-	return g.seal(to, data)
-}
-
-func (g *integrityTransport) SendNoCopy(to int, buf []byte) error {
-	if err := g.seal(to, buf); err != nil {
-		return err
-	}
-	// The sealed copy was consumed in the original's place; recycle the
-	// caller's lease (a no-op for retained or caller-owned buffers).
-	g.Transport.Release(buf)
-	return nil
-}
-
-func (g *integrityTransport) Recv(from int) ([]byte, error) {
-	buf, err := g.Transport.Recv(from)
-	return g.verify(from, buf, err)
-}
-
-// verify checks and strips the checksum trailer of one received message.
-// The truncation is a full-width reslice of the same backing array, so the
-// receiver's eventual Release still recycles the lease.
-func (g *integrityTransport) verify(from int, buf []byte, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	n := len(buf) - frameTrailerLen
-	if n < 0 || crc32.Checksum(buf[:n], crc32cTable) != binary.BigEndian.Uint32(buf[n:]) {
-		g.Transport.Release(buf)
-		return nil, &CorruptError{Op: "recv", Peer: from}
-	}
-	return buf[:n], nil
 }

@@ -30,33 +30,40 @@ func (e *DeadlineError) Error() string {
 
 func (e *DeadlineError) Unwrap() error { return ErrDeadline }
 
-// timeoutCapable is the optional fast path for WithDeadline: a transport
-// whose blocking points are selects can add a timer case natively instead of
-// paying a helper goroutine per operation. Both in-repo transports (inproc
-// and TCP) implement it.
+// timeoutCapable is the native timeout path WithDeadline uses: a transport
+// whose blocking points are selects adds a timer case instead of paying a
+// helper goroutine per operation. Both in-repo transports (inproc and TCP)
+// implement it, and their Send and Recv are exactly these two at d = 0.
 type timeoutCapable interface {
 	RecvTimeout(from int, d time.Duration) ([]byte, error)
 	SendTimeout(to int, data []byte, d time.Duration) error
 }
 
-// deadlineTransport decorates a Transport with per-operation idle deadlines.
-type deadlineTransport struct {
-	Transport
-	idle time.Duration
-	nat  timeoutCapable // non-nil when the inner transport has native timeouts
+// idleTimer arms the idle window of one bounded op: the channel fires after
+// d and stop disarms it. For d <= 0 the channel is nil, a select case that
+// never fires, so an unbounded op shares the bounded op's one select.
+func idleTimer(d time.Duration) (timeout <-chan time.Time, stop func() bool) {
+	if d <= 0 {
+		return nil, noTimer
+	}
+	t := time.NewTimer(d)
+	return t.C, t.Stop
 }
+
+func noTimer() bool { return false }
 
 // WithDeadline wraps t so every Send, SendNoCopy and Recv fails with a
 // *DeadlineError once it makes no progress for idle — the detection layer of
 // the stuck-step watchdog. A non-positive idle returns t unchanged.
 //
-// Transports implementing native timeouts (both in-repo transports do) are
-// decorated for free. For other stacks Recv falls back to a helper goroutine
-// per call: on timeout the helper keeps waiting until the transport closes —
-// a deadline error always precipitates a group abort, so the wait is bounded
-// — and releases any late-arriving buffer back to the pool; Send has no
-// generic fallback and passes through undecorated (the hang vector the
-// watchdog exists for is the receive side).
+// On a transport with native timeouts (both in-repo transports, undecorated)
+// the hooks call SendTimeout and RecvTimeout, the same selects Send and Recv
+// run, with a timer armed. For other stacks Recv falls back to a helper
+// goroutine per call: on timeout the helper keeps waiting until the
+// transport closes — a deadline error always precipitates a group abort, so
+// the wait is bounded — and releases any late-arriving buffer back to the
+// pool; Send has no generic fallback and passes through undecorated (the
+// hang vector the watchdog exists for is the receive side).
 //
 // Ownership on a send timeout follows the failed-send rule: the buffer was
 // not consumed and stays with the caller.
@@ -64,213 +71,72 @@ func WithDeadline(t Transport, idle time.Duration) Transport {
 	if idle <= 0 {
 		return t
 	}
-	d := &deadlineTransport{Transport: t, idle: idle}
-	if nc, ok := t.(timeoutCapable); ok {
-		d.nat = nc
+	if nat, ok := t.(timeoutCapable); ok {
+		return &decorator{
+			Transport: t,
+			send:      func(to int, buf []byte) error { return nat.SendTimeout(to, buf, idle) },
+			recv:      func(from int) ([]byte, error) { return nat.RecvTimeout(from, idle) },
+		}
 	}
-	return d
-}
-
-func (d *deadlineTransport) Send(to int, data []byte) error {
-	if d.nat != nil {
-		return d.nat.SendTimeout(to, data, d.idle)
-	}
-	return d.Transport.Send(to, data)
-}
-
-func (d *deadlineTransport) SendNoCopy(to int, buf []byte) error {
-	// SendNoCopy and Send coincide on both native transports, so the native
-	// timeout covers the zero-copy path too.
-	if d.nat != nil {
-		return d.nat.SendTimeout(to, buf, d.idle)
-	}
-	return d.Transport.SendNoCopy(to, buf)
-}
-
-func (d *deadlineTransport) Recv(from int) ([]byte, error) {
-	if d.nat != nil {
-		return d.nat.RecvTimeout(from, d.idle)
-	}
-	type result struct {
-		data []byte
-		err  error
-	}
-	// Unbuffered on purpose: the helper's send only completes while the
-	// caller is still waiting, so a result can never be stranded in a
-	// buffer nobody drains.
-	ch := make(chan result)
-	abandoned := make(chan struct{})
-	go func() {
-		data, err := d.Transport.Recv(from)
-		select {
-		case ch <- result{data, err}:
-		case <-abandoned:
-			if data != nil {
-				d.Transport.Release(data)
+	return &decorator{Transport: t, recv: func(from int) ([]byte, error) {
+		type result struct {
+			data []byte
+			err  error
+		}
+		// Unbuffered on purpose: the helper's send only completes while the
+		// caller is still waiting, so a result can never be stranded in a
+		// buffer nobody drains.
+		ch := make(chan result)
+		abandoned := make(chan struct{})
+		go func() {
+			data, err := t.Recv(from)
+			select {
+			case ch <- result{data, err}:
+			case <-abandoned:
+				if data != nil {
+					t.Release(data)
+				}
 			}
-		}
-	}()
-	timer := time.NewTimer(d.idle)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.data, r.err
-	case <-timer.C:
-		close(abandoned)
-		return nil, &DeadlineError{Op: "recv", Peer: from, Idle: d.idle}
-	}
-}
-
-// RecvTimeout lets WithDeadline bound receives on an already-decorated
-// inproc transport without a helper goroutine.
-func (t *inprocTransport) RecvTimeout(from int, d time.Duration) ([]byte, error) {
-	if err := t.checkPeer(from); err != nil {
-		return nil, err
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case data := <-t.g.chans[from][t.rank]:
-		return data, nil
-	case <-t.g.done:
-		// Drain any message that raced with close.
+		}()
+		timer := time.NewTimer(idle)
+		defer timer.Stop()
 		select {
-		case data := <-t.g.chans[from][t.rank]:
-			return data, nil
-		default:
+		case r := <-ch:
+			return r.data, r.err
+		case <-timer.C:
+			close(abandoned)
+			return nil, &DeadlineError{Op: "recv", Peer: from, Idle: idle}
 		}
-		return nil, ErrClosed
-	case <-timer.C:
-		return nil, &DeadlineError{Op: "recv", Peer: from, Idle: d}
-	}
-}
-
-// SendTimeout bounds the (normally buffered, but finite) send on the inproc
-// transport. On timeout the message was not consumed and stays owned by the
-// caller.
-func (t *inprocTransport) SendTimeout(to int, data []byte, d time.Duration) error {
-	if err := t.checkPeer(to); err != nil {
-		return err
-	}
-	select {
-	case <-t.g.done:
-		return ErrClosed
-	default:
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case t.g.chans[t.rank][to] <- data:
-		return nil
-	case <-t.g.done:
-		return ErrClosed
-	case <-timer.C:
-		return &DeadlineError{Op: "send", Peer: to, Idle: d}
-	}
-}
-
-// RecvTimeout bounds a receive on the TCP transport's per-peer inbox.
-func (t *tcpTransport) RecvTimeout(from int, d time.Duration) ([]byte, error) {
-	if from < 0 || from >= t.size || from == t.rank {
-		return nil, fmt.Errorf("comm: bad peer %d", from)
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case f := <-t.inbox[from]:
-		return f.buf, f.err
-	case <-t.closed:
-		select {
-		case f := <-t.inbox[from]:
-			return f.buf, f.err
-		default:
-		}
-		return nil, ErrClosed
-	case <-timer.C:
-		return nil, &DeadlineError{Op: "recv", Peer: from, Idle: d}
-	}
-}
-
-// SendTimeout bounds the outbox enqueue on the TCP transport. A full outbox
-// for longer than d means the writer goroutine (or the peer's reader) has
-// stopped making progress. On timeout the message stays owned by the caller.
-func (t *tcpTransport) SendTimeout(to int, data []byte, d time.Duration) error {
-	if to < 0 || to >= t.size || to == t.rank {
-		return fmt.Errorf("comm: bad peer %d", to)
-	}
-	select {
-	case <-t.closed:
-		return ErrClosed
-	default:
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case t.outbox[to] <- data:
-		return nil
-	case <-t.closed:
-		return ErrClosed
-	case <-timer.C:
-		return &DeadlineError{Op: "send", Peer: to, Idle: d}
-	}
-}
-
-// stallTransport models the failure mode heartbeats cannot see: a rank whose
-// process is alive (so the coordinator keeps it in the epoch) but whose
-// collectives stopped making progress.
-type stallTransport struct {
-	Transport
-	budget  atomic.Int64
-	stalled chan struct{}
-	once    sync.Once
+	}}
 }
 
 // WithStall wraps t so the first n Send/SendNoCopy/Recv operations pass
 // through and every later one blocks until the transport is closed, then
-// fails with ErrClosed — the scripted hung-but-heartbeating rank. Because
-// the stall sits in front of any deadline decoration, the wedged rank
-// produces no deadline error of its own: its peers' blame is the only
-// signal, exactly as with a real wedge. The group abort that follows closes
-// the transport and unblocks the stalled operation, so teardown never hangs
-// on the chaos it injected.
+// fails with ErrClosed — the scripted hung-but-heartbeating rank, the
+// failure mode heartbeats cannot see. Because the stall sits in front of any
+// deadline decoration, the wedged rank produces no deadline error of its
+// own: its peers' blame is the only signal, exactly as with a real wedge.
+// The group abort that follows closes the transport and unblocks the
+// stalled operation, so teardown never hangs on the chaos it injected. A
+// stalled send leaves the unconsumed buffer with the caller, per the
+// failed-send ownership rule.
 func WithStall(t Transport, n int) Transport {
-	s := &stallTransport{Transport: t, stalled: make(chan struct{})}
-	s.budget.Store(int64(n))
-	return s
-}
-
-// stall blocks until Close releases it. The receive needs no timer case: the
-// whole point is to wedge until the watchdog aborts the group, and that
-// abort is what closes s.stalled.
-func (s *stallTransport) stall() error {
-	<-s.stalled
-	return ErrClosed
-}
-
-func (s *stallTransport) Send(to int, data []byte) error {
-	if s.budget.Add(-1) < 0 {
-		return s.stall()
+	var budget atomic.Int64
+	budget.Store(int64(n))
+	stalled := make(chan struct{})
+	var once sync.Once
+	// The stall needs no timer case: the whole point is to wedge until the
+	// watchdog aborts the group, and that abort is what closes stalled.
+	d := gated(t, func(string, int) error {
+		if budget.Add(-1) < 0 {
+			<-stalled
+			return ErrClosed
+		}
+		return nil
+	})
+	d.close = func() error {
+		once.Do(func() { close(stalled) })
+		return t.Close()
 	}
-	return s.Transport.Send(to, data)
-}
-
-// SendNoCopy stalls like Send; the unconsumed buffer stays with the caller
-// per the failed-send ownership rule.
-func (s *stallTransport) SendNoCopy(to int, buf []byte) error {
-	if s.budget.Add(-1) < 0 {
-		return s.stall()
-	}
-	return s.Transport.SendNoCopy(to, buf)
-}
-
-func (s *stallTransport) Recv(from int) ([]byte, error) {
-	if s.budget.Add(-1) < 0 {
-		return nil, s.stall()
-	}
-	return s.Transport.Recv(from)
-}
-
-func (s *stallTransport) Close() error {
-	s.once.Do(func() { close(s.stalled) })
-	return s.Transport.Close()
+	return d
 }

@@ -107,7 +107,7 @@ func TestDeadlineFallbackRecv(t *testing.T) {
 	}()
 	// WithLatency hides the native timeout methods, forcing the fallback.
 	d := WithDeadline(WithLatency(ts[0], time.Nanosecond), 30*time.Millisecond)
-	if _, ok := d.(*deadlineTransport).Transport.(timeoutCapable); ok {
+	if _, ok := d.(*decorator).Transport.(timeoutCapable); ok {
 		t.Fatal("test premise broken: inner transport has native timeouts")
 	}
 

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -91,30 +90,63 @@ func TestWithFlakyDeterminism(t *testing.T) {
 }
 
 // TestWithFlakyLeaseOwnership: a failed SendNoCopy leaves the lease with the
-// caller — releasing it must bring the pool back to zero outstanding, per the
-// Transport ownership contract the decorator must not break.
+// caller, for every decorator that can fail one — the gated ones directly,
+// and the substituting ones (integrity, corrupt) when the send of their
+// leased copy fails underneath. The caller's bytes are untouched (no
+// in-place seal or flip), and releasing the lease brings the pool back to
+// zero outstanding, per the Transport ownership contract.
 func TestWithFlakyLeaseOwnership(t *testing.T) {
-	ts, err := NewInprocGroup(2, 0)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		wrap func(Transport) Transport
+	}{
+		{"fault", func(t Transport) Transport { return WithFaultAfter(t, 0) }},
+		{"flaky", func(t Transport) Transport { return WithFlaky(t, 1, 7) }},
+		{"integrity", func(t Transport) Transport { return WithIntegrity(WithFaultAfter(t, 0)) }},
+		{"corrupt", func(t Transport) Transport { return WithCorrupt(WithFaultAfter(t, 0), 1, 7) }},
 	}
-	defer closeAll(ts)
-	f := WithFlaky(ts[0], 1.0, 7) // every op fails
-	acct := ts[0].(leaseAccountant)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, err := NewInprocGroup(2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeAll(ts)
+			f := tc.wrap(ts[0])
+			acct := ts[0].(leaseAccountant)
 
-	buf := f.Lease(64)
-	if err := f.SendNoCopy(1, buf); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected failure, got %v", err)
-	}
-	// Ownership stayed with the caller; release must fully recycle.
-	f.Release(buf)
-	if n := acct.Outstanding(); n != 0 {
-		t.Fatalf("%d buffers outstanding after releasing a failed SendNoCopy", n)
+			buf := f.Lease(64)
+			for i := range buf {
+				buf[i] = byte(i*7 + 3)
+			}
+			if err := f.SendNoCopy(1, buf); !errors.Is(err, ErrInjected) {
+				t.Fatalf("want injected failure, got %v", err)
+			}
+			for i := range buf {
+				if buf[i] != byte(i*7+3) {
+					t.Fatalf("byte %d of the caller's buffer changed: %#x", i, buf[i])
+				}
+			}
+			// The pool must not hand the caller's buffer to anyone else. Two
+			// leases: a failed substitute puts its own copy back first.
+			others := [][]byte{f.Lease(64), f.Lease(64)}
+			for _, o := range others {
+				if &o[0] == &buf[0] {
+					t.Fatal("the failed send released the caller's buffer to the pool")
+				}
+				f.Release(o)
+			}
+			// Ownership stayed with the caller; release must fully recycle.
+			f.Release(buf)
+			if n := acct.Outstanding(); n != 0 {
+				t.Fatalf("%d buffers outstanding after releasing a failed SendNoCopy", n)
+			}
+		})
 	}
 }
 
 // TestWithFlakyRecvConsumesNothing: a failed Recv drops nothing — the queued
-// message is still delivered by the next successful Recv.
+// message is still delivered by the next Recv on the undecorated endpoint.
 func TestWithFlakyRecvConsumesNothing(t *testing.T) {
 	ts, err := NewInprocGroup(2, 0)
 	if err != nil {
@@ -124,14 +156,13 @@ func TestWithFlakyRecvConsumesNothing(t *testing.T) {
 	if err := ts[0].Send(1, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	f := &flakyTransport{Transport: ts[1], p: 2, rng: rand.New(rand.NewSource(9))} // p>1: every roll fails
+	f := WithFlaky(ts[1], 1, 9) // p=1: every roll fails
 	dropped, err := f.Recv(0)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected recv failure, got %v", err)
 	}
 	f.Release(dropped) // nil on the injected-failure path; Release is a no-op on unknown buffers
-	f.p = 0            // healthy again
-	data, err := f.Recv(0)
+	data, err := ts[1].Recv(0)
 	if err != nil {
 		t.Fatal(err)
 	}

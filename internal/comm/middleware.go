@@ -9,25 +9,73 @@ import (
 	"time"
 )
 
-// This file holds Transport decorators used by benchmarks and tests:
-// WithLatency models a slow interconnect on top of the in-process transport
-// (so overlap benchmarks have communication worth hiding), WithFaultAfter
-// injects deterministic communication failures (so error paths through the
-// overlap scheduler can be exercised without real network faults), and
-// WithFlaky injects seeded transient faults (so the elastic runtime's
-// retry-within-epoch path can be exercised deterministically). All delegate
-// the pooled-buffer contract verbatim to the wrapped transport.
+// This file holds the package's one Transport decorator and the link
+// models and fault injectors built on it here: WithLatency and
+// BandwidthPacer (the alpha and beta terms of the alpha-beta network
+// model), WithFaultAfter (a terminal fault budget) and WithFlaky (seeded
+// transient faults). WithDeadline and WithStall live in deadline.go,
+// WithCorrupt and WithIntegrity in corrupt.go. Every one of them is a
+// *decorator with hooks built once at construction, so the pooled-buffer
+// contract is forwarded verbatim to the wrapped transport.
 
 // ErrInjected is the sentinel wrapped by every failure a fault-injected
 // transport produces; test assertions match it with errors.Is.
 var ErrInjected = errors.New("comm: injected fault")
 
-// latencyTransport delays every message delivery by a fixed duration,
-// emulating a per-hop wire time on transports that are otherwise
-// memory-speed.
-type latencyTransport struct {
+// decorator is a pass-through Transport with optional send, recv and close
+// hooks. An unset hook, and every other method, forwards to the embedded
+// transport. Send is SendNoCopy: the two are one operation on every
+// transport in this package, because ownership passes to the transport
+// either way and Release ignores buffers the pool does not know.
+type decorator struct {
 	Transport
-	delay time.Duration
+	send  func(to int, buf []byte) error
+	recv  func(from int) ([]byte, error)
+	close func() error
+}
+
+func (d *decorator) Send(to int, data []byte) error { return d.SendNoCopy(to, data) }
+
+func (d *decorator) SendNoCopy(to int, buf []byte) error {
+	if d.send != nil {
+		return d.send(to, buf)
+	}
+	return d.Transport.SendNoCopy(to, buf)
+}
+
+func (d *decorator) Recv(from int) ([]byte, error) {
+	if d.recv != nil {
+		return d.recv(from)
+	}
+	return d.Transport.Recv(from)
+}
+
+func (d *decorator) Close() error {
+	if d.close != nil {
+		return d.close()
+	}
+	return d.Transport.Close()
+}
+
+// gated decorates t with a check that runs before every send and receive.
+// A failing check fails the op before it reaches t, so a failed send leaves
+// the buffer with the caller and a failed Recv consumes nothing.
+func gated(t Transport, check func(op string, peer int) error) *decorator {
+	return &decorator{
+		Transport: t,
+		send: func(to int, buf []byte) error {
+			if err := check("send", to); err != nil {
+				return err
+			}
+			return t.SendNoCopy(to, buf)
+		},
+		recv: func(from int) ([]byte, error) {
+			if err := check("recv", from); err != nil {
+				return nil, err
+			}
+			return t.Recv(from)
+		},
+	}
 }
 
 // WithLatency wraps t so every Recv completes no earlier than delay after
@@ -37,16 +85,14 @@ func WithLatency(t Transport, delay time.Duration) Transport {
 	if delay <= 0 {
 		return t
 	}
-	return &latencyTransport{Transport: t, delay: delay}
-}
-
-func (l *latencyTransport) Recv(from int) ([]byte, error) {
-	data, err := l.Transport.Recv(from)
-	if err != nil {
-		return nil, err
-	}
-	time.Sleep(l.delay)
-	return data, nil
+	return &decorator{Transport: t, recv: func(from int) ([]byte, error) {
+		data, err := t.Recv(from)
+		if err != nil {
+			return nil, err
+		}
+		time.Sleep(delay)
+		return data, nil
+	}}
 }
 
 // BandwidthPacer models the transmission (beta) term of the alpha-beta
@@ -89,7 +135,24 @@ func (p *BandwidthPacer) Wrap(t Transport) Transport {
 	if p.bytesPerSec <= 0 {
 		return t
 	}
-	return &pacedTransport{Transport: t, p: p}
+	rank := t.Rank()
+	return &decorator{
+		Transport: t,
+		send: func(to int, buf []byte) error {
+			p.stamp(rank, to, len(buf))
+			return t.SendNoCopy(to, buf)
+		},
+		recv: func(from int) ([]byte, error) {
+			data, err := t.Recv(from)
+			if err != nil {
+				return nil, err
+			}
+			if d := time.Until(p.take(from, rank)); d > 0 {
+				time.Sleep(d)
+			}
+			return data, nil
+		},
+	}
 }
 
 // stamp queues a message's delivery deadline on the from→to link.
@@ -125,86 +188,20 @@ func (p *BandwidthPacer) take(from, to int) time.Time {
 	return d
 }
 
-// pacedTransport is one rank's endpoint of a paced group.
-type pacedTransport struct {
-	Transport
-	p *BandwidthPacer
-}
-
-func (t *pacedTransport) Send(to int, data []byte) error {
-	t.p.stamp(t.Rank(), to, len(data))
-	return t.Transport.Send(to, data)
-}
-
-func (t *pacedTransport) SendNoCopy(to int, buf []byte) error {
-	t.p.stamp(t.Rank(), to, len(buf))
-	return t.Transport.SendNoCopy(to, buf)
-}
-
-func (t *pacedTransport) Recv(from int) ([]byte, error) {
-	data, err := t.Transport.Recv(from)
-	if err != nil {
-		return nil, err
-	}
-	if d := time.Until(t.p.take(from, t.Rank())); d > 0 {
-		time.Sleep(d)
-	}
-	return data, nil
-}
-
-// faultTransport fails every point-to-point operation once a budget of
-// healthy operations is spent.
-type faultTransport struct {
-	Transport
-	budget atomic.Int64
-}
-
 // WithFaultAfter wraps t so the first n Send/SendNoCopy/Recv operations
 // succeed and every later one fails with an error wrapping ErrInjected. The
 // wrapped transport is otherwise untouched, so a failed SendNoCopy leaves
 // buffer ownership with the caller exactly as the Transport contract
 // specifies (callers release the lease on error).
 func WithFaultAfter(t Transport, n int) Transport {
-	f := &faultTransport{Transport: t}
-	f.budget.Store(int64(n))
-	return f
-}
-
-func (f *faultTransport) spend(op string, peer int) error {
-	if f.budget.Add(-1) < 0 {
-		return fmt.Errorf("comm: %s peer %d: %w", op, peer, ErrInjected)
-	}
-	return nil
-}
-
-func (f *faultTransport) Send(to int, data []byte) error {
-	if err := f.spend("send", to); err != nil {
-		return err
-	}
-	return f.Transport.Send(to, data)
-}
-
-func (f *faultTransport) SendNoCopy(to int, buf []byte) error {
-	if err := f.spend("send", to); err != nil {
-		return err
-	}
-	return f.Transport.SendNoCopy(to, buf)
-}
-
-func (f *faultTransport) Recv(from int) ([]byte, error) {
-	if err := f.spend("recv", from); err != nil {
-		return nil, err
-	}
-	return f.Transport.Recv(from)
-}
-
-// flakyTransport fails each point-to-point operation independently with a
-// fixed probability, from a seeded RNG.
-type flakyTransport struct {
-	Transport
-	mu  sync.Mutex
-	rng *rand.Rand
-	p   float64
+	var budget atomic.Int64
+	budget.Store(int64(n))
+	return gated(t, func(op string, peer int) error {
+		if budget.Add(-1) < 0 {
+			return fmt.Errorf("comm: %s peer %d: %w", op, peer, ErrInjected)
+		}
+		return nil
+	})
 }
 
 // WithFlaky wraps t so every Send/SendNoCopy/Recv fails independently with
@@ -222,38 +219,17 @@ func WithFlaky(t Transport, p float64, seed int64) Transport {
 	if p <= 0 {
 		return t
 	}
-	return &flakyTransport{Transport: t, rng: rand.New(rand.NewSource(seed)), p: p}
-}
-
-// roll draws one failure decision. The RNG is mutex-guarded: a transport's
-// Send runs on the comm goroutine while tests may drive Recv elsewhere.
-func (f *flakyTransport) roll(op string, peer int) error {
-	f.mu.Lock()
-	x := f.rng.Float64()
-	f.mu.Unlock()
-	if x < f.p {
-		return fmt.Errorf("comm: flaky %s peer %d: %w", op, peer, ErrInjected)
-	}
-	return nil
-}
-
-func (f *flakyTransport) Send(to int, data []byte) error {
-	if err := f.roll("send", to); err != nil {
-		return err
-	}
-	return f.Transport.Send(to, data)
-}
-
-func (f *flakyTransport) SendNoCopy(to int, buf []byte) error {
-	if err := f.roll("send", to); err != nil {
-		return err
-	}
-	return f.Transport.SendNoCopy(to, buf)
-}
-
-func (f *flakyTransport) Recv(from int) ([]byte, error) {
-	if err := f.roll("recv", from); err != nil {
-		return nil, err
-	}
-	return f.Transport.Recv(from)
+	// The RNG is mutex-guarded: a transport's Send runs on the comm
+	// goroutine while tests may drive Recv elsewhere.
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(seed))
+	return gated(t, func(op string, peer int) error {
+		mu.Lock()
+		x := rng.Float64()
+		mu.Unlock()
+		if x < p {
+			return fmt.Errorf("comm: flaky %s peer %d: %w", op, peer, ErrInjected)
+		}
+		return nil
+	})
 }

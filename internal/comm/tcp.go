@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // tcpTransport is a full-mesh TCP transport: every pair of ranks shares one
@@ -253,7 +254,15 @@ func (t *tcpTransport) Retain(buf []byte) { t.pool.retain(buf) }
 // drain first.
 func (t *tcpTransport) Outstanding() int { return t.pool.outstanding() }
 
-func (t *tcpTransport) Send(to int, data []byte) error {
+func (t *tcpTransport) Send(to int, data []byte) error { return t.SendTimeout(to, data, 0) }
+
+func (t *tcpTransport) Recv(from int) ([]byte, error) { return t.RecvTimeout(from, 0) }
+
+// SendTimeout bounds the outbox enqueue on the TCP transport; d <= 0 never
+// times out. A full outbox for longer than d means the writer goroutine (or
+// the peer's reader) has stopped making progress. On timeout the message
+// stays owned by the caller.
+func (t *tcpTransport) SendTimeout(to int, data []byte, d time.Duration) error {
 	if to < 0 || to >= t.size || to == t.rank {
 		return fmt.Errorf("comm: bad peer %d", to)
 	}
@@ -264,18 +273,26 @@ func (t *tcpTransport) Send(to int, data []byte) error {
 		return ErrClosed
 	default:
 	}
+	timeout, stop := idleTimer(d)
+	defer stop()
 	select {
 	case t.outbox[to] <- data:
 		return nil
 	case <-t.closed:
 		return ErrClosed
+	case <-timeout:
+		return &DeadlineError{Op: "send", Peer: to, Idle: d}
 	}
 }
 
-func (t *tcpTransport) Recv(from int) ([]byte, error) {
+// RecvTimeout bounds a receive on the TCP transport's per-peer inbox; d <= 0
+// never times out.
+func (t *tcpTransport) RecvTimeout(from int, d time.Duration) ([]byte, error) {
 	if from < 0 || from >= t.size || from == t.rank {
 		return nil, fmt.Errorf("comm: bad peer %d", from)
 	}
+	timeout, stop := idleTimer(d)
+	defer stop()
 	select {
 	case f := <-t.inbox[from]:
 		return f.buf, f.err
@@ -286,6 +303,8 @@ func (t *tcpTransport) Recv(from int) ([]byte, error) {
 		default:
 		}
 		return nil, ErrClosed
+	case <-timeout:
+		return nil, &DeadlineError{Op: "recv", Peer: from, Idle: d}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // ErrClosed is returned by transport operations after Close.
@@ -125,7 +126,14 @@ func NewInprocGroup(p, buffering int) ([]Transport, error) {
 func (t *inprocTransport) Rank() int { return t.rank }
 func (t *inprocTransport) Size() int { return t.g.size }
 
-func (t *inprocTransport) Send(to int, data []byte) error {
+func (t *inprocTransport) Send(to int, data []byte) error { return t.SendTimeout(to, data, 0) }
+
+func (t *inprocTransport) Recv(from int) ([]byte, error) { return t.RecvTimeout(from, 0) }
+
+// SendTimeout bounds the (normally buffered, but finite) send on the inproc
+// transport; d <= 0 never times out. On timeout the message was not
+// consumed and stays owned by the caller.
+func (t *inprocTransport) SendTimeout(to int, data []byte, d time.Duration) error {
 	if err := t.checkPeer(to); err != nil {
 		return err
 	}
@@ -136,18 +144,26 @@ func (t *inprocTransport) Send(to int, data []byte) error {
 		return ErrClosed
 	default:
 	}
+	timeout, stop := idleTimer(d)
+	defer stop()
 	select {
 	case t.g.chans[t.rank][to] <- data:
 		return nil
 	case <-t.g.done:
 		return ErrClosed
+	case <-timeout:
+		return &DeadlineError{Op: "send", Peer: to, Idle: d}
 	}
 }
 
-func (t *inprocTransport) Recv(from int) ([]byte, error) {
+// RecvTimeout bounds a receive on the inproc transport; d <= 0 never times
+// out.
+func (t *inprocTransport) RecvTimeout(from int, d time.Duration) ([]byte, error) {
 	if err := t.checkPeer(from); err != nil {
 		return nil, err
 	}
+	timeout, stop := idleTimer(d)
+	defer stop()
 	select {
 	case data := <-t.g.chans[from][t.rank]:
 		return data, nil
@@ -159,6 +175,8 @@ func (t *inprocTransport) Recv(from int) ([]byte, error) {
 		default:
 		}
 		return nil, ErrClosed
+	case <-timeout:
+		return nil, &DeadlineError{Op: "recv", Peer: from, Idle: d}
 	}
 }
 

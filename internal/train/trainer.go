@@ -102,9 +102,13 @@ type Config struct {
 	// channels.
 	UseTCP bool
 	// NewTransports overrides transport construction — benchmarks and
-	// tests inject latency or faults here (see comm.WithLatency,
-	// comm.WithFaultAfter). When nil, UseTCP picks loopback TCP or
-	// in-process channels.
+	// tests shape the link or inject faults here by stacking comm's
+	// decorators (comm.NewBandwidthPacer, comm.WithLatency,
+	// comm.WithFaultAfter, comm.WithFlaky, comm.WithStall,
+	// comm.WithCorrupt, comm.WithIntegrity). When nil, UseTCP picks
+	// loopback TCP or in-process channels. Elastic.StepDeadline arms
+	// comm.WithDeadline only on the transports the cluster builds itself;
+	// an injected stack adds its own.
 	NewTransports func(workers int) ([]comm.Transport, error)
 	// EvalEvery evaluates test accuracy every EvalEvery epochs (default 1).
 	EvalEvery int
