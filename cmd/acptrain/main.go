@@ -49,8 +49,7 @@ func run(args []string) int {
 	elastic := fs.Bool("elastic", false, "elastic runtime: heartbeat membership, periodic checkpoints, recovery at the surviving size on rank failure")
 	ckptEvery := fs.Int("checkpoint-every", 8, "elastic snapshot interval in steps")
 	minWorkers := fs.Int("min-workers", 1, "smallest group elastic recovery may re-form")
-	ckptDir := fs.String("checkpoint-dir", "", "persist rank 0's elastic snapshots to this directory (CRC-framed checkpoint-NNNNNN.gob generations, keep-3 ring)")
-	stepDeadline := fs.Duration("step-deadline", 0, "stuck-step watchdog: abort and recover any step exceeding this deadline (0 disables; elastic only)")
+	stepDeadline := fs.Duration("step-deadline", 0, "stuck-step watchdog: abort any step exceeding this deadline; with -elastic it is recovered, without it the run fails (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -116,7 +115,6 @@ func run(args []string) int {
 			Enabled:         *elastic,
 			CheckpointEvery: *ckptEvery,
 			MinWorkers:      *minWorkers,
-			Dir:             *ckptDir,
 			StepDeadline:    *stepDeadline,
 		},
 		Seed:      *seed,

@@ -22,12 +22,14 @@ func TestRunRejectsZeroWorkers(t *testing.T) {
 }
 
 func TestRunRejectsRemovedKnobFlags(t *testing.T) {
-	// Method knobs are spec params only; the old per-knob flags are gone.
+	// Method knobs are spec params only; the old per-knob flags are gone,
+	// and so is the on-disk checkpoint store.
 	for _, args := range [][]string{
 		{"-rank", "2"},
 		{"-topk-ratio", "0.01"},
 		{"-no-ef"},
 		{"-no-reuse"},
+		{"-checkpoint-dir", "x"},
 	} {
 		if code := run(args); code != 2 {
 			t.Fatalf("run(%q) = %d, want 2 (flag parse error)", args, code)

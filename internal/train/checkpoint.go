@@ -4,30 +4,25 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"acpsgd/internal/nn"
 )
 
 // Checkpoint is a serializable snapshot of one replica's training state,
-// keyed by parameter name so checkpoints survive refactorings that preserve
-// naming. Beyond the weights it carries everything a faithful continuation
-// needs: the optimizer's momentum, the step counter, and every stateful
-// compressor's cross-step vectors (error-feedback residuals, DGC momentum
-// correction, reused low-rank factors). Weight-only checkpoints written
-// before these fields existed still gob-decode — the extra fields come back
-// nil and restore as zero state.
+// keyed by parameter name. Beyond the weights it carries everything a
+// faithful continuation needs: the optimizer's momentum, the step counter,
+// and every stateful compressor's cross-step vectors (error-feedback
+// residuals, DGC momentum correction, reused low-rank factors). The elastic
+// runtime keeps one per member in memory and restores from it on recovery.
 type Checkpoint struct {
 	Params map[string]checkpointTensor
-	// Momentum is the optimizer velocity by parameter name. Nil for legacy
-	// weight-only checkpoints and for parameters the optimizer never
-	// touched; both restore as zero velocity.
+	// Momentum is the optimizer velocity by parameter name. Parameters
+	// the optimizer never touched are absent and restore as zero velocity.
 	Momentum map[string]checkpointTensor
 	// Residuals holds compressor state vectors keyed
 	// "<compressor key>/<vector name>", where the trainer's compressor keys
 	// are "p:<param name>" (per-parameter state) and "b:<buffer index>"
-	// (per-buffer state). Nil for legacy checkpoints.
+	// (per-buffer state).
 	Residuals map[string][]float64
 	// Step is the 0-based training step counter at capture time.
 	Step int
@@ -70,7 +65,7 @@ func Capture(model *nn.Model, opt *SGD, step int) (*Checkpoint, error) {
 // Apply restores the checkpoint into model (weights) and, when opt is
 // non-nil, the optimizer (momentum). Every model parameter must be present
 // in Params with a matching shape; parameters absent from Momentum restore
-// as zero velocity (the legacy weight-only format).
+// as zero velocity.
 func (ck *Checkpoint) Apply(model *nn.Model, opt *SGD) error {
 	for _, p := range model.Params() {
 		t, ok := ck.Params[p.Name]
@@ -106,71 +101,11 @@ func (ck *Checkpoint) Write(w io.Writer) error {
 	return nil
 }
 
-// ReadCheckpoint decodes a checkpoint written by Write — or by the legacy
-// weight-only SaveCheckpoint, whose Momentum, Residuals and Step fields
-// decode as zero values.
+// ReadCheckpoint decodes a checkpoint written by Write.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("train: decode checkpoint: %w", err)
 	}
 	return &ck, nil
-}
-
-// WriteFile atomically and durably persists the checkpoint at path: write
-// to a temporary file in the same directory, fsync it, rename over the
-// target, then fsync the directory — so a crash (or power cut) at any point
-// leaves either the old file or the complete new one, never a torn mix, and
-// the rename itself survives the cache. The directory is created if missing.
-// New code should prefer the CRC-framed generational store (WriteGeneration
-// / RestoreLatest), which can additionally detect bit rot on read.
-func (ck *Checkpoint) WriteFile(path string) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("train: checkpoint dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("train: checkpoint temp file: %w", err)
-	}
-	if err := ck.Write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("train: checkpoint fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("train: checkpoint close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("train: checkpoint rename: %w", err)
-	}
-	return fsyncDir(dir)
-}
-
-// SaveCheckpoint writes the model's weights to w (gob encoding). It remains
-// the weight-only convenience wrapper; full-state snapshots go through
-// Capture + Write.
-func SaveCheckpoint(w io.Writer, model *nn.Model) error {
-	ck, err := Capture(model, nil, 0)
-	if err != nil {
-		return err
-	}
-	return ck.Write(w)
-}
-
-// LoadCheckpoint restores weights from r into model. Every model parameter
-// must be present with a matching shape.
-func LoadCheckpoint(r io.Reader, model *nn.Model) error {
-	ck, err := ReadCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	return ck.Apply(model, nil)
 }

@@ -3,15 +3,32 @@ package train
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"acpsgd/internal/nn"
 	"acpsgd/internal/tensor"
 )
+
+// saveWeights writes a weights-only snapshot of model to w.
+func saveWeights(w io.Writer, model *nn.Model) error {
+	ck, err := Capture(model, nil, 0)
+	if err != nil {
+		return err
+	}
+	return ck.Write(w)
+}
+
+// loadWeights decodes a snapshot from r and restores its weights into model.
+func loadWeights(r io.Reader, model *nn.Model) error {
+	ck, err := ReadCheckpoint(r)
+	if err != nil {
+		return err
+	}
+	return ck.Apply(model, nil)
+}
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -21,7 +38,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		nn.NewDense("fc2", 8, 3, rng),
 	)
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, src); err != nil {
+	if err := saveWeights(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := nn.NewModel(
@@ -29,7 +46,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		nn.NewReLU("relu"),
 		nn.NewDense("fc2", 8, 3, rng),
 	)
-	if err := LoadCheckpoint(&buf, dst); err != nil {
+	if err := loadWeights(&buf, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range src.Params() {
@@ -46,11 +63,11 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	src := nn.NewModel(nn.NewDense("fc", 4, 8, rng))
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, src); err != nil {
+	if err := saveWeights(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := nn.NewModel(nn.NewDense("fc", 4, 9, rng))
-	if err := LoadCheckpoint(&buf, dst); err == nil {
+	if err := loadWeights(&buf, dst); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
@@ -59,11 +76,11 @@ func TestCheckpointMissingParam(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := nn.NewModel(nn.NewDense("a", 4, 4, rng))
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, src); err != nil {
+	if err := saveWeights(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := nn.NewModel(nn.NewDense("b", 4, 4, rng))
-	if err := LoadCheckpoint(&buf, dst); err == nil {
+	if err := loadWeights(&buf, dst); err == nil {
 		t.Fatal("expected missing-parameter error")
 	}
 }
@@ -75,7 +92,7 @@ func TestCheckpointDuplicateNameRejected(t *testing.T) {
 		nn.NewDense("same", 2, 2, rng),
 	)
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, model); err == nil {
+	if err := saveWeights(&buf, model); err == nil {
 		t.Fatal("expected duplicate-name error")
 	}
 }
@@ -83,7 +100,7 @@ func TestCheckpointDuplicateNameRejected(t *testing.T) {
 func TestCheckpointCorruptStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	model := nn.NewModel(nn.NewDense("fc", 2, 2, rng))
-	if err := LoadCheckpoint(bytes.NewReader([]byte("garbage")), model); err == nil {
+	if err := loadWeights(bytes.NewReader([]byte("garbage")), model); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -155,10 +172,9 @@ func TestCheckpointFullStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyWeightOnly: a stream written in the pre-elastic
-// weight-only format (just a Params map) must still decode — Momentum,
-// Residuals and Step come back zero and Apply restores weights with zero
-// velocity.
+// TestCheckpointLegacyWeightOnly: a stream carrying only a Params map must
+// decode — Momentum, Residuals and Step come back zero and Apply restores
+// weights with zero velocity.
 func TestCheckpointLegacyWeightOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	model := nn.NewModel(nn.NewDense("fc", 4, 4, rng))
@@ -196,43 +212,6 @@ func TestCheckpointLegacyWeightOnly(t *testing.T) {
 				t.Fatalf("weight %s[%d] not restored from legacy stream", p.Name, j)
 			}
 		}
-	}
-}
-
-// TestCheckpointWriteFile: WriteFile lands atomically (no temp droppings) and
-// overwrites a previous checkpoint in place.
-func TestCheckpointWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "checkpoint.gob")
-	rng := rand.New(rand.NewSource(14))
-	model := nn.NewModel(nn.NewDense("fc", 3, 3, rng))
-	for i := 0; i < 2; i++ { // twice: fresh write, then overwrite
-		ck, err := Capture(model, nil, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ck.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "checkpoint.gob" {
-		t.Fatalf("atomic write left droppings: %v", entries)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ck, err := ReadCheckpoint(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Step != 1 {
-		t.Fatalf("overwrite did not win: step %d", ck.Step)
 	}
 }
 

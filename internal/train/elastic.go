@@ -22,8 +22,8 @@ import (
 // cluster degrades to a clean terminal ErrClusterDead instead of retrying
 // forever.
 type ElasticConfig struct {
-	// Enabled turns the elastic runtime on. All other fields are ignored
-	// (and not validated) when false.
+	// Enabled turns the elastic runtime on. All other fields except
+	// StepDeadline are ignored (and not validated) when false.
 	Enabled bool
 	// MinWorkers is the smallest group recovery may re-form (default 1).
 	// Fewer survivors than this is terminal.
@@ -51,7 +51,9 @@ type ElasticConfig struct {
 	// stopped communicating. On transports the cluster builds itself the
 	// same deadline is applied per operation (comm.WithDeadline), so peers'
 	// deadline errors name the hung rank and recovery expels it before
-	// re-forming. 0 disables the watchdog.
+	// re-forming. Unlike the other fields it also applies when Enabled is
+	// false, where a missed deadline fails the step and kills the cluster.
+	// 0 disables the watchdog.
 	StepDeadline time.Duration
 	// DrainDeadline is the grace window a DrainRank gives the proactive
 	// re-form: if the drained rank is still in the group when it elapses,
@@ -59,23 +61,14 @@ type ElasticConfig struct {
 	// the drain degrades to the normal crash/expel path (default 8x
 	// HeartbeatTimeout).
 	DrainDeadline time.Duration
-	// Dir, when non-empty, additionally persists rank 0's snapshot to disk
-	// at every checkpoint as a CRC-framed, generation-numbered file
-	// (Dir/checkpoint-NNNNNN.gob; atomic rename, fsynced file and
-	// directory), so a restarted process can seed a new run from the
-	// survivors' last state. Restore walks generations newest-first past any
-	// torn or bit-rotted file (see RestoreLatest); legacy unframed
-	// checkpoint.gob files remain readable as the final fallback.
-	Dir string
-	// KeepCheckpoints bounds the on-disk generation ring: after each write
-	// the store prunes down to this many newest generations (default 3).
-	// The generation just written is never pruned.
-	KeepCheckpoints int
 }
 
 // validate applies defaults and checks bounds against the starting worker
 // count.
 func (e *ElasticConfig) validate(workers int) error {
+	if e.StepDeadline < 0 {
+		return fmt.Errorf("train: elastic step deadline must be >= 0, got %v", e.StepDeadline)
+	}
 	if !e.Enabled {
 		return nil
 	}
@@ -99,15 +92,6 @@ func (e *ElasticConfig) validate(workers int) error {
 	}
 	if e.DrainDeadline == 0 {
 		e.DrainDeadline = 8 * e.HeartbeatTimeout
-	}
-	if e.KeepCheckpoints == 0 {
-		e.KeepCheckpoints = 3
-	}
-	if e.KeepCheckpoints < 1 {
-		return fmt.Errorf("train: elastic checkpoint ring must keep >= 1 generations, got %d", e.KeepCheckpoints)
-	}
-	if e.StepDeadline < 0 {
-		return fmt.Errorf("train: elastic step deadline must be >= 0, got %v", e.StepDeadline)
 	}
 	if e.DrainDeadline < 0 {
 		return fmt.Errorf("train: elastic drain deadline must be >= 0, got %v", e.DrainDeadline)
@@ -167,13 +151,6 @@ func (c *Cluster) checkpointNow() error {
 		c.snaps[id] = ck
 	}
 	c.sinceCkpt = 0
-	if dir := c.cfg.Elastic.Dir; dir != "" {
-		c.ckptGen++
-		ck := fresh[g.memberIDs[0]]
-		if err := WriteGeneration(dir, c.ckptGen, ck, c.cfg.Elastic.KeepCheckpoints); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -410,8 +387,7 @@ func (w *worker) restore(ck *Checkpoint) error {
 
 // applyState copies checkpointed state vectors into a compressor's live
 // views. Missing keys leave the compressor's fresh (zero/seeded) state —
-// that covers legacy weight-only checkpoints and compressors that never
-// stepped before the snapshot.
+// that covers compressors that never stepped before the snapshot.
 func (w *worker) applyState(key string, st any) error {
 	if len(w.resid) == 0 {
 		return nil

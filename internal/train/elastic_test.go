@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -336,61 +334,6 @@ func TestElasticCloseDuringRecovery(t *testing.T) {
 	}
 }
 
-// TestElasticDiskCheckpoint: with Dir set, rank 0's snapshot lands on disk
-// as a CRC-framed generation at every checkpoint, the ring prunes to
-// KeepCheckpoints files, and RestoreLatest round-trips the full state —
-// momentum, compressor residuals, step counter.
-func TestElasticDiskCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	cfg := elasticSmokeConfig("topk:ratio=0.05", OverlapOn)
-	cfg.Elastic.CheckpointEvery = 2
-	cfg.Elastic.KeepCheckpoints = 2
-	cfg.Elastic.Dir = dir
-	trainSet := data.GaussianMixture(1001, 256, 16, 4, 1.0)
-	build := buildMLP(16, 16, 4)
-	c, err := NewCluster(cfg, build, trainSet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetLR(0.05)
-	stepLosses(t, c, 8) // construction ckpt + 4 periodic ones: generations 1..5
-
-	ck, gen, err := RestoreLatest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen < 3 {
-		t.Fatalf("expected several generations written, newest is %d", gen)
-	}
-	if ck.Step == 0 {
-		t.Fatal("disk checkpoint has zero step counter")
-	}
-	if len(ck.Momentum) == 0 {
-		t.Fatal("disk checkpoint is missing optimizer momentum")
-	}
-	if len(ck.Residuals) == 0 {
-		t.Fatal("disk checkpoint is missing compressor residuals")
-	}
-	// The ring pruned to KeepCheckpoints generations, and the atomic write
-	// path left no temp-file droppings.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	want := []string{
-		filepath.Base(GenerationPath(dir, gen-1)),
-		filepath.Base(GenerationPath(dir, gen)),
-	}
-	if len(names) != 2 || names[0] != want[0] || names[1] != want[1] {
-		t.Fatalf("unexpected checkpoint dir contents: %v, want %v", names, want)
-	}
-}
-
 // TestElasticConfigValidation: bad elastic knobs are rejected up front.
 func TestElasticConfigValidation(t *testing.T) {
 	trainSet := data.GaussianMixture(1001, 64, 16, 4, 1.0)
@@ -400,6 +343,10 @@ func TestElasticConfigValidation(t *testing.T) {
 		func(c *Config) { c.Elastic.MinWorkers = -1 }, // below 1
 		func(c *Config) { c.Elastic.CheckpointEvery = -2 },
 		func(c *Config) { c.Elastic.MaxRecoveries = -1 },
+		func(c *Config) { c.Elastic.StepDeadline = -1 },
+		// StepDeadline arms the watchdog with elastic off too, so it is
+		// checked there as well.
+		func(c *Config) { c.Elastic.Enabled = false; c.Elastic.StepDeadline = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := elasticSmokeConfig("ssgd", OverlapOn)

@@ -243,7 +243,6 @@ type Cluster struct {
 	recoveries  int
 	reshapes    int // planned re-forms (joins/drains) — budget-free, not recoveries
 	sinceCkpt   int
-	ckptGen     uint64 // last on-disk checkpoint generation written (Elastic.Dir)
 
 	// lr is the last SetLR value, re-applied to every re-formed group so a
 	// recovery or reshape cannot silently reset the learning rate (fresh
