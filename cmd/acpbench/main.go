@@ -22,9 +22,9 @@
 // A case whose ns/op regresses by more than -threshold (default 0.15 = 15%)
 // makes acpbench exit with status 1; set -threshold -1 to disable
 // enforcement. -filter restricts both the recording and the diff to cases
-// matching the regexp (the diff only compares cases present in both
-// baselines, so a filtered run gates exactly its subset). This is the perf
-// trajectory the ROADMAP re-anchors on.
+// matching the regexp, so a filtered run gates exactly its subset against a
+// full-suite anchor. Every recorded case must exist in the anchor: a case
+// it lacks was never compared, so acpbench names it and exits with status 1.
 package main
 
 import (
@@ -111,6 +111,10 @@ func runBaseline(outDir, label, against string, threshold float64, filter *regex
 		fmt.Fprintln(os.Stderr, "acpbench: -filter matches no suite cases; the gate would pass vacuously")
 		return 1
 	}
+	if fi, err := os.Stat(outDir); err != nil || !fi.IsDir() {
+		fmt.Fprintf(os.Stderr, "acpbench: -out %s is not a directory\n", outDir)
+		return 2
+	}
 	fmt.Printf("acpbench: recording perf baseline (%d cases, ~1s each)\n", total)
 	bl, err := bench.Record(label, filter, func(line string) { fmt.Println(line) })
 	if err != nil {
@@ -121,8 +125,8 @@ func runBaseline(outDir, label, against string, threshold float64, filter *regex
 	// Never clobber an existing baseline (same day, same label): uniquify so
 	// the previous recording stays available as the comparison anchor.
 	for n := 2; ; n++ {
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			break
+		if _, err := os.Stat(path); err != nil {
+			break // not there yet, or unreadable: Save reports the latter
 		}
 		suffix := fmt.Sprintf("%d", n)
 		if label != "" {
@@ -155,20 +159,27 @@ func runBaseline(outDir, label, against string, threshold float64, filter *regex
 		return 1
 	}
 	lines := bench.Diff(old, bl, threshold)
-	if len(lines) == 0 {
-		// Diff only compares cases present in both baselines; an empty
-		// intersection means the comparison (and any regression gate on it)
-		// is meaningless — renamed cases must not turn the gate green.
-		fmt.Fprintf(os.Stderr, "acpbench: no cases in common with %s; nothing was gated\n", prev)
-		return 1
-	}
 	fmt.Printf("acpbench: diff vs %s (threshold %+.0f%%)\n", prev, threshold*100)
 	fmt.Print(bench.FormatDiff(lines))
+	var missing []string
+	regressed := false
 	for _, d := range lines {
-		if d.Regression {
-			fmt.Fprintln(os.Stderr, "acpbench: perf regression detected")
-			return 1
+		if d.Missing {
+			missing = append(missing, d.Name)
 		}
+		regressed = regressed || d.Regression
 	}
-	return 0
+	code := 0
+	if len(missing) > 0 {
+		// A renamed or new case must not turn the gate green by going
+		// uncompared.
+		fmt.Fprintf(os.Stderr, "acpbench: %s lacks %d recorded case(s), so they were not gated: %s\n",
+			prev, len(missing), strings.Join(missing, ", "))
+		code = 1
+	}
+	if regressed {
+		fmt.Fprintln(os.Stderr, "acpbench: perf regression detected")
+		code = 1
+	}
+	return code
 }

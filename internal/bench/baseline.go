@@ -179,29 +179,32 @@ type DiffLine struct {
 	NewNs      float64
 	Delta      float64 // (new-old)/old; +0.25 = 25% slower
 	Regression bool    // Delta exceeds the threshold
+	Missing    bool    // the old baseline has no such case: nothing to compare
 	OldAllocs  int64
 	NewAllocs  int64
 }
 
-// Diff compares new against old case-by-case. threshold is the relative
-// ns/op slowdown tolerated before a case is flagged as a regression
-// (e.g. 0.15 = 15%); a negative threshold disables flagging. Cases present
-// in only one baseline are skipped.
+// Diff compares new against old case-by-case, one line per case in new, in
+// name order. threshold is the relative ns/op slowdown tolerated before a
+// case is flagged as a regression (e.g. 0.15 = 15%); a negative threshold
+// disables flagging. A case old lacks is marked Missing, since a gate must
+// not pass a case it never compared. Cases only in old are ignored, so a
+// filtered recording can diff against a full baseline.
 func Diff(old, new *Baseline, threshold float64) []DiffLine {
 	names := make([]string, 0, len(new.Benchmarks))
 	for name := range new.Benchmarks {
-		if _, ok := old.Benchmarks[name]; ok {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	lines := make([]DiffLine, 0, len(names))
 	for _, name := range names {
-		o, n := old.Benchmarks[name], new.Benchmarks[name]
+		o, ok := old.Benchmarks[name]
+		n := new.Benchmarks[name]
 		d := DiffLine{
 			Name:      name,
 			OldNs:     o.NsPerOp,
 			NewNs:     n.NsPerOp,
+			Missing:   !ok,
 			OldAllocs: o.AllocsPerOp,
 			NewAllocs: n.AllocsPerOp,
 		}
@@ -219,6 +222,11 @@ func FormatDiff(lines []DiffLine) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-40s %14s %14s %8s %s\n", "benchmark", "old ns/op", "new ns/op", "delta", "allocs old->new")
 	for _, d := range lines {
+		if d.Missing {
+			fmt.Fprintf(&sb, "%-40s %14s %14.0f %8s %6s -> %-6d  MISSING FROM ANCHOR\n",
+				d.Name, "-", d.NewNs, "-", "-", d.NewAllocs)
+			continue
+		}
 		flag := ""
 		if d.Regression {
 			flag = "  REGRESSION"

@@ -61,3 +61,27 @@ func TestLatestBaselineExcludesSelf(t *testing.T) {
 		t.Fatalf("self-exclusion failed: got %q, %v", got, err)
 	}
 }
+
+// TestDiffNamesCasesMissingFromAnchor: a recorded case the anchor lacks was
+// never compared, so Diff must report it rather than drop it — otherwise a
+// gate passes a case it did not gate. Cases only in the anchor stay ignored.
+func TestDiffNamesCasesMissingFromAnchor(t *testing.T) {
+	old := &Baseline{Benchmarks: map[string]Result{
+		"TCPFrameCRC4x1M": {NsPerOp: 100},
+		"OnlyInAnchor":    {NsPerOp: 100},
+	}}
+	cur := &Baseline{Benchmarks: map[string]Result{
+		"TCPFrameCRC4x1M": {NsPerOp: 100},
+		"MatMul256":       {NsPerOp: 1e9},
+	}}
+	lines := Diff(old, cur, 4.0)
+	if len(lines) != 2 || lines[0].Name != "MatMul256" || lines[1].Name != "TCPFrameCRC4x1M" {
+		t.Fatalf("Diff lines = %+v, want one per recorded case: MatMul256, TCPFrameCRC4x1M", lines)
+	}
+	if !lines[0].Missing || lines[0].Regression {
+		t.Errorf("MatMul256: Missing=%v Regression=%v, want missing and not a regression", lines[0].Missing, lines[0].Regression)
+	}
+	if lines[1].Missing || lines[1].Regression {
+		t.Errorf("TCPFrameCRC4x1M: Missing=%v Regression=%v, want a plain comparison", lines[1].Missing, lines[1].Regression)
+	}
+}

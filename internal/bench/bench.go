@@ -1,20 +1,22 @@
 // Package bench defines the named micro-benchmark suite shared by the
-// `go test -bench` harness (bench_test.go wraps every case under its
-// traditional Benchmark* name) and by `acpbench -baseline`, which runs the
-// same cases through testing.Benchmark and records ns/op, B/op and allocs/op
-// into a BENCH_<date>.json perf baseline. Keeping one definition in a plain
+// `go test -bench` harness (bench_test.go's BenchmarkSuite runs every case
+// as a sub-benchmark) and by `acpbench -baseline`, which runs the same cases
+// through testing.Benchmark and records ns/op, B/op and allocs/op into a
+// BENCH_<date>.json perf baseline. Keeping one definition in a plain
 // (non-test) package is what lets the baseline recorder and the regression
 // diff agree on stable case names.
+//
+// The suite holds what the end-to-end benchmark module (benchmark/) does not
+// measure: tensor kernels, compressor encode/decode, the wire codec, the
+// collectives, the pipelined training step and the fleet scenario engine.
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"acpsgd/internal/comm"
 	"acpsgd/internal/compress"
@@ -74,41 +76,15 @@ func Suite() []Case {
 		})},
 		{"PowerCompress512x512r4", benchPowerCompress},
 		{"ACPCompress512x512r4", benchACPCompress},
-		{"MiniVGGStep", benchMiniVGGStep},
-		{"SimulateBERTACP32", benchSimulateBERTACP32},
 		{"FleetEngine1000", benchFleetEngine1000},
-	}
-	for _, rate := range InterferenceRates {
-		cases = append(cases, Case{
-			Name: "AblationInterference/" + RateName(rate),
-			F:    interferenceCase(rate),
-		})
-	}
-	for _, alpha := range AlphaSeconds {
-		cases = append(cases, Case{
-			Name: "AblationAlpha/" + AlphaName(alpha),
-			F:    alphaCase(alpha),
-		})
 	}
 	for _, useEF := range []bool{true, false} {
 		cases = append(cases, Case{
-			Name: "AblationEF/" + EFName(useEF),
+			Name: "AblationEF/" + efName(useEF),
 			F:    efCase(useEF),
 		})
 	}
-	for _, sel := range Selections {
-		cases = append(cases, Case{
-			Name: "AblationSelection/" + sel.Name,
-			F:    selectionCase(sel.S),
-		})
-	}
-	for _, mode := range OverlapModes {
-		cases = append(cases, Case{
-			Name: "OverlapStep/" + mode.String(),
-			F:    overlapStepCase(mode),
-		})
-	}
-	for _, chunks := range PipelineChunkCounts {
+	for _, chunks := range pipelineChunkCounts {
 		cases = append(cases, Case{
 			Name: "PipelinedStep/chunks=" + strconv.Itoa(chunks),
 			F:    pipelinedStepCase(chunks),
@@ -117,9 +93,9 @@ func Suite() []Case {
 	return cases
 }
 
-// PipelineChunkCounts are the chunk counts the end-to-end pipelined-step
+// pipelineChunkCounts are the chunk counts the end-to-end pipelined-step
 // bench sweeps: the unpipelined replay baseline and two pipelined depths.
-var PipelineChunkCounts = []int{0, 4, 16}
+var pipelineChunkCounts = []int{0, 4, 16}
 
 // pipelinedStepCase measures one full synchronized training step of a
 // 2-worker QSGD cluster on a bandwidth-injected in-process transport (16MB/s
@@ -234,83 +210,11 @@ func benchPipelinedAllReduce4x1M(b *testing.B) {
 	wg.Wait()
 }
 
-// OverlapModes are the comm-launch schedules the end-to-end train-step bench
-// sweeps: wait-free backprop vs. launch-after-backward. The two are
-// bit-identical in results; the bench measures what overlap buys in
-// wall-clock step time on a latency-injected transport.
-var OverlapModes = []train.Overlap{train.OverlapOn, train.OverlapOff}
-
-// overlapStepCase measures one full synchronized training step of a
-// 2-worker deep-MLP cluster over in-process transports with 1ms injected
-// per-hop latency — wire time that costs no CPU, like a real NIC, so the
-// ring collectives are worth hiding behind backward. The configuration is
-// deliberately shaped so overlap has something to hide:
-//
-//   - A deep stack of uniform layers with a small fusion budget makes one
-//     bucket per weight matrix, sealing (and launching) throughout backward
-//     rather than only at its end.
-//   - Tensor kernels are pinned serial, modeling one compute stream per
-//     "node". GOMAXPROCS is left alone: at GOMAXPROCS = workers the compute
-//     streams saturate every P and the communication goroutines run at the
-//     kernels' cooperative yield points (package coop).
-func overlapStepCase(mode train.Overlap) func(b *testing.B) {
-	return func(b *testing.B) {
-		const (
-			workers  = 2
-			features = 64
-			hidden   = 256
-			classes  = 10
-		)
-		defer tensor.SetParallelism(tensor.SetParallelism(1))
-		trainSet := data.GaussianMixture(31, 512, features, classes, 1.0)
-		cfg := train.Config{
-			Spec:           compress.MustSpec("ssgd"),
-			Workers:        workers,
-			BatchPerWorker: 32,
-			Epochs:         1,
-			Momentum:       0.9,
-			Schedule:       train.Schedule{BaseLR: 0.05},
-			BufferBytes:    16 * 1024,
-			Overlap:        mode,
-			Seed:           7,
-			NewTransports: func(p int) ([]comm.Transport, error) {
-				ts, err := comm.NewInprocGroup(p, 0)
-				if err != nil {
-					return nil, err
-				}
-				for i := range ts {
-					ts[i] = comm.WithLatency(ts[i], time.Millisecond)
-				}
-				return ts, nil
-			},
-		}
-		build := func(rng *rand.Rand) *nn.Model {
-			return models.MLP(rng, features, hidden, hidden, hidden, hidden, hidden, hidden, classes)
-		}
-		cluster, err := train.NewCluster(cfg, build, trainSet)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cluster.Close()
-		// Cluster.Step trains at learning rate 0 until told otherwise.
-		cluster.SetLR(cfg.Schedule.BaseLR)
-		if _, err := cluster.Step(); err != nil { // warm pools and compressor state
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cluster.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // benchTCPFrameCRC4x1M is RingAllReduce4x1M over real loopback TCP, where
 // every frame now carries a CRC32C trailer computed on send and verified on
 // receive. Against the in-process RingAllReduce4x1M case it prices the whole
 // wire-integrity path — framing, checksum generation, and verification — and
-// the committed wirecrc baseline keeps that overhead from silently growing.
+// the committed baseline keeps that overhead from silently growing.
 func benchTCPFrameCRC4x1M(b *testing.B) {
 	const workers, elems = 4, 1024 * 1024
 	transports, err := comm.NewTCPGroup(workers)
@@ -394,22 +298,12 @@ func benchAsyncAllReduce4x1M(b *testing.B) {
 	wg.Wait()
 }
 
-// EFName names the error-feedback ablation sub-benchmarks.
-func EFName(useEF bool) string {
+// efName names the error-feedback ablation sub-benchmarks.
+func efName(useEF bool) string {
 	if useEF {
 		return "ef"
 	}
 	return "no-ef"
-}
-
-// Selections are the top-k selection strategies the selection ablation
-// sweeps (footnote 2's motivation).
-var Selections = []struct {
-	Name string
-	S    compress.Selection
-}{
-	{"exact", compress.SelectExact},
-	{"sampled", compress.SelectSampled},
 }
 
 // efCase measures ACP-SGD compression throughput with or without error
@@ -418,7 +312,7 @@ func efCase(useEF bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		const n, m, r = 256, 256, 4
 		a := compress.NewACP(n, m, r, useEF, true, 1)
-		grad := RandGrad(n * m)
+		grad := randGrad(n * m)
 		b.SetBytes(n * m * 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -428,58 +322,14 @@ func efCase(useEF bool) func(b *testing.B) {
 	}
 }
 
-// selectionCase measures one top-k selection strategy's encode cost.
-func selectionCase(s compress.Selection) func(b *testing.B) {
-	return func(b *testing.B) {
-		const n = 1 << 18
-		tk := compress.NewTopK(n, n/1000, s, false, 1)
-		grad := RandGrad(n)
-		b.SetBytes(n * 8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tk.Encode(i, grad)
-		}
-	}
-}
+// randGrad returns n i.i.d. standard-normal values from a fixed seed — the
+// shared synthetic-gradient generator for every suite case.
+func randGrad(n int) []float64 { return randGradSeeded(n, 7) }
 
-// ByName returns the case with the given stable name.
-func ByName(name string) (Case, error) {
-	for _, c := range Suite() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return Case{}, fmt.Errorf("bench: unknown case %q", name)
-}
-
-// InterferenceRates are the GPU interference sweep points of the
-// BenchmarkAblationInterference sub-benchmarks (§III-C WFBP slowdown knob).
-var InterferenceRates = []float64{0.5, 0.35, 0.22, 0.15}
-
-// AlphaSeconds are the per-hop latency sweep points of the
-// BenchmarkAblationAlpha sub-benchmarks (§IV-B startup-cost sensitivity).
-var AlphaSeconds = []float64{2e-6, 12e-6, 50e-6}
-
-// RateName formats an interference rate as a stable sub-benchmark name,
-// e.g. "rate=0.35".
-func RateName(rate float64) string {
-	return "rate=" + strconv.FormatFloat(rate, 'g', -1, 64)
-}
-
-// AlphaName formats a per-hop latency as a stable sub-benchmark name in
-// microseconds, e.g. "alpha_us=12".
-func AlphaName(alpha float64) string {
-	return "alpha_us=" + strconv.FormatFloat(alpha*1e6, 'g', -1, 64)
-}
-
-// RandGrad returns n i.i.d. standard-normal values from a fixed seed — the
-// shared synthetic-gradient generator for every benchmark harness.
-func RandGrad(n int) []float64 { return RandGradSeeded(n, 7) }
-
-// RandGradSeeded is RandGrad with an explicit seed: multi-peer decode cases
+// randGradSeeded is randGrad with an explicit seed: multi-peer decode cases
 // need per-rank gradients, or the sign majority vote degenerates to the
 // all-agree fast path and the bench never measures the general vote tally.
-func RandGradSeeded(n int, seed int64) []float64 {
+func randGradSeeded(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	g := make([]float64, n)
 	for i := range g {
@@ -651,7 +501,7 @@ func benchAllGather4x64KB(b *testing.B) {
 func gatherEncodeCase(n int, mk func() compress.GatherCompressor) func(b *testing.B) {
 	return func(b *testing.B) {
 		comp := mk()
-		grad := RandGrad(n)
+		grad := randGrad(n)
 		comp.Encode(0, grad) // warm the pooled payload buffer
 		b.SetBytes(int64(n * 8))
 		b.ResetTimer()
@@ -669,7 +519,7 @@ func gatherDecodeCase(n, workers int, mk func(r int) compress.GatherCompressor) 
 		for r := range blobs {
 			// Distinct per-rank gradients: peers must disagree, so the sign
 			// vote tally (not just its all-agree shortcut) is what's timed.
-			blobs[r] = append([]byte(nil), mk(r).Encode(0, RandGradSeeded(n, int64(7+r)))...)
+			blobs[r] = append([]byte(nil), mk(r).Encode(0, randGradSeeded(n, int64(7+r)))...)
 		}
 		dec := mk(workers)
 		out := make([]float64, n)
@@ -689,7 +539,7 @@ func gatherDecodeCase(n, workers int, mk func(r int) compress.GatherCompressor) 
 func benchSignEncode1M(b *testing.B) {
 	const n = 1 << 20
 	s := compress.NewSign(n, true)
-	grad := RandGrad(n)
+	grad := randGrad(n)
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -704,7 +554,7 @@ func benchSignDecode1M(b *testing.B) {
 	for r := range blobs {
 		s := compress.NewSign(n, false)
 		//acpvet:ignore each compressor encodes exactly once, so its payload is never re-leased
-		blobs[r] = s.Encode(0, RandGradSeeded(n, int64(7+r)))
+		blobs[r] = s.Encode(0, randGradSeeded(n, int64(7+r)))
 	}
 	dec := compress.NewSign(n, false)
 	out := make([]float64, n)
@@ -720,7 +570,7 @@ func benchSignDecode1M(b *testing.B) {
 func benchTopKExact1M(b *testing.B) {
 	const n = 1 << 20
 	tk := compress.NewTopK(n, n/1000, compress.SelectExact, true, 1)
-	grad := RandGrad(n)
+	grad := randGrad(n)
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -731,7 +581,7 @@ func benchTopKExact1M(b *testing.B) {
 func benchTopKSampled1M(b *testing.B) {
 	const n = 1 << 20
 	tk := compress.NewTopK(n, n/1000, compress.SelectSampled, true, 2)
-	grad := RandGrad(n)
+	grad := randGrad(n)
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -749,7 +599,7 @@ func (localCollectives) Size() int                    { return 1 }
 func benchPowerCompress(b *testing.B) {
 	const n, m, r = 512, 512, 4
 	ps := compress.NewPowerSGD(n, m, r, true, 1)
-	grad := RandGrad(n * m)
+	grad := randGrad(n * m)
 	b.SetBytes(n * m * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -762,30 +612,12 @@ func benchPowerCompress(b *testing.B) {
 func benchACPCompress(b *testing.B) {
 	const n, m, r = 512, 512, 4
 	a := compress.NewACP(n, m, r, true, true, 1)
-	grad := RandGrad(n * m)
+	grad := randGrad(n * m)
 	b.SetBytes(n * m * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload := a.Compress(i, grad)
 		a.Finalize(i, payload, 1, grad)
-	}
-}
-
-func benchMiniVGGStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	model := models.MiniVGG(rng, 3, 8, 8, 10)
-	loss := &nn.SoftmaxCrossEntropy{}
-	x := tensor.New(32, 3*8*8)
-	x.Randomize(rng, 1)
-	labels := make([]int, 32)
-	for i := range labels {
-		labels[i] = i % 10
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model.ZeroGrads()
-		_, d := loss.Forward(model.Forward(x), labels)
-		model.Backward(d, nil)
 	}
 }
 
@@ -826,62 +658,5 @@ func benchFleetEngine1000(b *testing.B) {
 		if rep.Steps == 0 {
 			b.Fatal("scenario priced no steps")
 		}
-	}
-}
-
-func benchSimulateBERTACP32(b *testing.B) {
-	cfg := sim.Config{
-		Model:   models.BERTLarge(),
-		Method:  sim.MethodACP,
-		Mode:    sim.ModeWFBPTF,
-		Workers: 32,
-		Net:     sim.Net10GbE(),
-		GPU:     sim.DefaultGPU(),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Simulate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func interferenceCase(rate float64) func(b *testing.B) {
-	return func(b *testing.B) {
-		gpu := sim.DefaultGPU()
-		gpu.InterferenceRate = rate
-		cfg := sim.Config{
-			Model: models.BERTLarge(), Method: sim.MethodPower, Mode: sim.ModeWFBPTF,
-			Workers: 32, Net: sim.Net10GbE(), GPU: gpu,
-		}
-		var total float64
-		for i := 0; i < b.N; i++ {
-			r, err := sim.Simulate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = r.TotalSec
-		}
-		b.ReportMetric(total*1e3, "iter-ms")
-	}
-}
-
-func alphaCase(alpha float64) func(b *testing.B) {
-	return func(b *testing.B) {
-		net := sim.Net10GbE()
-		net.Alpha = alpha
-		cfg := sim.Config{
-			Model: models.BERTLarge(), Method: sim.MethodACP, Mode: sim.ModeWFBPTF,
-			Workers: 32, Net: net, GPU: sim.DefaultGPU(), NoFusion: true,
-		}
-		var total float64
-		for i := 0; i < b.N; i++ {
-			r, err := sim.Simulate(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = r.TotalSec
-		}
-		b.ReportMetric(total*1e3, "iter-ms")
 	}
 }

@@ -3,10 +3,8 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
-	"acpsgd/internal/comm"
 	"acpsgd/internal/compress"
 	"acpsgd/internal/models"
 	"acpsgd/internal/sim"
@@ -129,67 +127,6 @@ func AblationSelection() (*Table, error) {
 		sampled := measure(compress.SelectSampled)
 		t.AddRow(n, fmt.Sprintf("%.2f", exact*1e3), fmt.Sprintf("%.2f", sampled*1e3),
 			speedup(exact, sampled))
-	}
-	return t, nil
-}
-
-// AblationTransport measures the real ring all-reduce over the in-process
-// and loopback-TCP transports — the substrate of the convergence
-// experiments, benchmarked on this host.
-func AblationTransport() (*Table, error) {
-	t := &Table{
-		ID:      "ablation-transport",
-		Title:   "Real ring all-reduce, measured on this host (4 workers; ms per call)",
-		Columns: []string{"Elements", "Inproc", "TCP"},
-	}
-	measure := func(tcp bool, elems int) (float64, error) {
-		var transports []comm.Transport
-		var err error
-		if tcp {
-			transports, err = comm.NewTCPGroup(4)
-		} else {
-			transports, err = comm.NewInprocGroup(4, 0)
-		}
-		if err != nil {
-			return 0, err
-		}
-		defer func() {
-			for _, tr := range transports {
-				tr.Close()
-			}
-		}()
-		const reps = 5
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			var wg sync.WaitGroup
-			errs := make([]error, 4)
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					buf := make([]float64, elems)
-					errs[r] = comm.NewCommunicator(transports[r]).AllReduceSum(buf)
-				}(r)
-			}
-			wg.Wait()
-			for _, e := range errs {
-				if e != nil {
-					return 0, e
-				}
-			}
-		}
-		return time.Since(start).Seconds() / reps, nil
-	}
-	for _, elems := range []int{1 << 10, 1 << 14, 1 << 18} {
-		inproc, err := measure(false, elems)
-		if err != nil {
-			return nil, err
-		}
-		tcp, err := measure(true, elems)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(elems, fmt.Sprintf("%.3f", inproc*1e3), fmt.Sprintf("%.3f", tcp*1e3))
 	}
 	return t, nil
 }

@@ -387,27 +387,13 @@ func TestAblationSelectionMeasures(t *testing.T) {
 	}
 }
 
-func TestAblationTransportMeasures(t *testing.T) {
-	tab, err := AblationTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tab.Rows {
-		inproc := parseMS(t, row[1])
-		tcp := parseMS(t, row[2])
-		if inproc <= 0 || tcp <= 0 {
-			t.Fatalf("non-positive measurement: %v", row)
-		}
-	}
-}
-
 func TestRegistryCoversAllExperiments(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3",
 		"fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11a", "fig11b", "fig12", "fig13", "micro",
 		"ablation-interference", "ablation-alpha",
-		"ablation-selection", "ablation-transport",
+		"ablation-selection",
 	}
 	names := Names()
 	have := map[string]bool{}

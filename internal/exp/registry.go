@@ -41,7 +41,6 @@ func Registry() map[string]Runner {
 		"ablation-interference": wrap(AblationInterference),
 		"ablation-alpha":        wrap(AblationAlpha),
 		"ablation-selection":    wrap(AblationSelection),
-		"ablation-transport":    wrap(AblationTransport),
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // (the trainer's Overlap=off schedule) must never make a simulated iteration
 // faster, and for communication-bound configurations it must be strictly
 // slower with strictly more non-overlapped communication — the term the
-// measured OverlapStep bench sees on the latency-injected transport.
+// benchmark module measures as train.exposed_comm_ms.<method> on its shaped
+// links.
 func TestNoOverlapExposesCommunication(t *testing.T) {
 	// Power-SGD is deliberately absent: its pipeline runs compression on the
 	// side compute stream, which contends with backward at the interference
