@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
 
 func TestRunSpecCarriesAblationKnobs(t *testing.T) {
 	// dgc exists only as a registry entry in internal/compress; the CLI
@@ -40,5 +45,29 @@ func TestRunRejectsRemovedKnobFlags(t *testing.T) {
 func TestRunBadSpecFails(t *testing.T) {
 	if code := run([]string{"-model", "mlp", "-method", "acp:rank=0"}); code != 1 {
 		t.Fatalf("bad rank param: exit %d, want 1", code)
+	}
+}
+
+func TestRunDeletedMethodUnknown(t *testing.T) {
+	// A method deleted from the registry fails like any unknown name, with
+	// the registry's error naming the valid methods.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	code := run([]string{"-model", "mlp", "-method", "qsgd"})
+	os.Stderr = stderr
+	w.Close()
+	msg, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 {
+		t.Fatalf("-method qsgd: exit %d, want 1", code)
+	}
+	if want := `unknown method "qsgd" (registered: `; !strings.Contains(string(msg), want) {
+		t.Fatalf("-method qsgd: stderr %q, want it to contain %q", msg, want)
 	}
 }

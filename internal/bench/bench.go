@@ -65,15 +65,6 @@ func Suite() []Case {
 		{"DGCDecode4x1M", gatherDecodeCase(1<<20, 4, func(r int) compress.GatherCompressor {
 			return compress.NewDGC(1<<20, 1<<10, 0, true, int64(r))
 		})},
-		{"QSGDEncode1M", gatherEncodeCase(1<<20, func() compress.GatherCompressor {
-			return compress.NewQSGD(1<<20, 16, 1)
-		})},
-		{"QSGDDecode4x1M", gatherDecodeCase(1<<20, 4, func(r int) compress.GatherCompressor {
-			return compress.NewQSGD(1<<20, 16, int64(r))
-		})},
-		{"TernGradDecode4x1M", gatherDecodeCase(1<<20, 4, func(r int) compress.GatherCompressor {
-			return compress.NewTernGrad(1<<20, int64(r))
-		})},
 		{"PowerCompress512x512r4", benchPowerCompress},
 		{"ACPCompress512x512r4", benchACPCompress},
 		{"FleetEngine1000", benchFleetEngine1000},
@@ -98,19 +89,20 @@ func Suite() []Case {
 var pipelineChunkCounts = []int{0, 4, 16}
 
 // pipelinedStepCase measures one full synchronized training step of a
-// 2-worker QSGD cluster on a bandwidth-injected in-process transport (16MB/s
-// per link — size-proportional wire delay that costs no CPU, the beta term
-// of the alpha-beta model). QSGD is the natural subject: its encode is a
-// serial stochastic-rounding sweep and its decode a per-rank LUT expansion.
-// The default 25MB fusion budget fuses the whole model into ONE buffer, so
-// the unpipelined step serializes encode → wire → decode back to back at the
-// end of backward — exactly the span tensor fusion creates and chunk
-// pipelining reclaims (§III-B): with PipelineChunks>0 chunk c rides the wire
-// while chunk c+1 is encoding and chunk c-1 is decoding. Tensor kernels are
-// pinned serial (one compute stream per "node") and GOMAXPROCS is raised
-// above the worker count: QSGD's encode and decode sweeps are not cooperative
-// yield points, so the communication goroutines need a spare P to forward
-// chunk c while chunk c+1 encodes.
+// 2-worker Sign-SGD cluster on a bandwidth-injected in-process transport
+// (16MB/s per link — size-proportional wire delay that costs no CPU, the beta
+// term of the alpha-beta model). Sign-SGD is the subject because chunking
+// pays on it: its whole-buffer encode and decode sweeps are long enough to
+// hide wire time behind, where Top-k and DGC at ratio 0.01 ship too little
+// for chunking to gain. The default 25MB fusion budget fuses the whole model
+// into ONE buffer, so the unpipelined step serializes encode → wire → decode
+// back to back at the end of backward — exactly the span tensor fusion
+// creates and chunk pipelining reclaims (§III-B): with PipelineChunks>0
+// chunk c rides the wire while chunk c+1 is encoding and chunk c-1 is
+// decoding. Tensor kernels are pinned serial (one compute stream per "node")
+// and GOMAXPROCS is raised above the worker count: Sign's encode and decode
+// sweeps are not cooperative yield points, so the communication goroutines
+// need a spare P to forward chunk c while chunk c+1 encodes.
 func pipelinedStepCase(chunks int) func(b *testing.B) {
 	return func(b *testing.B) {
 		const (
@@ -123,13 +115,12 @@ func pipelinedStepCase(chunks int) func(b *testing.B) {
 		defer tensor.SetParallelism(tensor.SetParallelism(1))
 		trainSet := data.GaussianMixture(31, 512, features, classes, 1.0)
 		cfg := train.Config{
-			Spec:           compress.MustSpec("qsgd"),
+			Spec:           compress.MustSpec("sign"),
 			Workers:        workers,
 			BatchPerWorker: 4,
 			Epochs:         1,
 			Momentum:       0.9,
-			// QSGD quantizes the whole model as one buffer, batch 4: larger
-			// rates diverge to non-finite norms within a few hundred steps.
+			// The benchmark's Sign-SGD rate.
 			Schedule:       train.Schedule{BaseLR: 0.001},
 			PipelineChunks: chunks,
 			Seed:           7,

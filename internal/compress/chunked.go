@@ -67,10 +67,11 @@ func ChunkBounds(n, m, align int) []int {
 	return bounds
 }
 
-// Chunked adapts any GatherCompressor to the chunked contract: compressors
-// with native support (Sign, Top-k/Random-k, DGC, QSGD) are returned as-is;
-// everything else is wrapped in a fallback that splits the unchunked payload
-// into byte ranges — the wire still pipelines chunk-by-chunk, the compute
+// Chunked adapts any GatherCompressor to the chunked contract. Compressors
+// with native support (every registered gather method: Sign, Top-k, DGC) are
+// returned as-is. Anything else, such as a wrapper that forwards only the
+// unchunked pair, is wrapped in a fallback that splits the unchunked payload
+// into byte ranges: the wire still pipelines chunk-by-chunk, the compute
 // does not, and results stay bit-identical to the unchunked path. n is the
 // tensor length the compressor was built for (the fallback needs it only for
 // ChunkBounds).

@@ -58,22 +58,47 @@ func randGrads(rng *rand.Rand, p, n int) [][]float64 {
 	return out
 }
 
-// TestChunkedMatchesUnchunked: for every registered all-gather method, the
-// chunked encode/decode pipeline must evolve compressor state and produce
-// decoded gradients bit-identical to the unchunked pair, across several
-// steps (so EF memories, accumulators and RNG streams are compared too, not
-// just a single stateless pass) and several chunk counts — including chunk
-// counts that leave chunks empty.
+// hideChunks hides a compressor's native chunk methods, so Chunked wraps it
+// in the byte-range fallback: no registered method reaches that path.
+type hideChunks struct{ GatherCompressor }
+
+// TestChunkedMatchesUnchunked: for every registered all-gather method, and
+// for the byte-range fallback over Sign and Top-k, the chunked encode/decode
+// pipeline must evolve compressor state and produce decoded gradients
+// bit-identical to the unchunked pair, across several steps (so EF memories,
+// accumulators and RNG streams are compared too, not just a single
+// stateless pass) and several chunk counts — including chunk counts that
+// leave chunks empty.
 func TestChunkedMatchesUnchunked(t *testing.T) {
 	const p, n, steps = 3, 517, 4
+	type subject struct {
+		name string
+		spec Spec
+		hide bool // run Chunked's fallback instead of the native chunk path
+	}
+	var subjects []subject
 	for _, spec := range gatherMethodsUnderTest(t) {
+		subjects = append(subjects, subject{spec.Name, spec, false})
+	}
+	subjects = append(subjects,
+		subject{"hideChunks(sign)", MustSpec("sign"), true},
+		subject{"hideChunks(topk)", MustSpec("topk:ratio=0.05"), true})
+	for _, sub := range subjects {
+		spec := sub.spec
 		for _, m := range []int{1, 2, 5, 700} {
-			t.Run(fmt.Sprintf("%s/m=%d", spec.Name, m), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/m=%d", sub.name, m), func(t *testing.T) {
 				full := make([]GatherCompressor, p+1)
 				chunked := make([]ChunkedGatherCompressor, p+1)
 				for r := 0; r <= p; r++ {
 					full[r] = buildGatherComp(t, spec, n, r%p)
-					chunked[r] = Chunked(buildGatherComp(t, spec, n, r%p), n)
+					comp := buildGatherComp(t, spec, n, r%p)
+					if sub.hide {
+						comp = hideChunks{comp}
+					}
+					chunked[r] = Chunked(comp, n)
+					if _, fallback := chunked[r].(*chunkedFallback); fallback != sub.hide {
+						t.Fatalf("Chunked built %T", chunked[r])
+					}
 				}
 				bounds := chunked[0].ChunkBounds(m)
 				if bounds[0] != 0 || bounds[len(bounds)-1] != n || len(bounds) != m+1 {
@@ -122,7 +147,7 @@ func TestChunkedMatchesUnchunked(t *testing.T) {
 					for i := range wantGrad {
 						if math.Float64bits(gotGrad[i]) != math.Float64bits(wantGrad[i]) {
 							t.Fatalf("%s m=%d step %d elem %d: chunked %x, unchunked %x",
-								spec.Name, m, step, i, math.Float64bits(gotGrad[i]), math.Float64bits(wantGrad[i]))
+								sub.name, m, step, i, math.Float64bits(gotGrad[i]), math.Float64bits(wantGrad[i]))
 						}
 					}
 				}
@@ -134,7 +159,7 @@ func TestChunkedMatchesUnchunked(t *testing.T) {
 // TestChunkedNativeCoverage pins which methods carry native chunked support:
 // losing one to a refactor would silently fall back to wire-only pipelining.
 func TestChunkedNativeCoverage(t *testing.T) {
-	native := map[string]bool{"sign": true, "topk": true, "randomk": true, "dgc": true, "qsgd": true}
+	native := map[string]bool{"sign": true, "topk": true, "dgc": true}
 	for _, spec := range gatherMethodsUnderTest(t) {
 		comp := buildGatherComp(t, spec, 256, 0)
 		_, isNative := comp.(ChunkedGatherCompressor)

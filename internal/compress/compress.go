@@ -3,11 +3,11 @@
 //
 //   - Sign-SGD with majority vote (quantization; §II-B.1)
 //   - Top-k SGD with multi-sampling threshold selection (sparsification;
-//     §II-B.2, footnote 2), plus the Random-k contrast baseline
+//     §II-B.2, footnote 2)
 //   - Power-SGD (low-rank power iteration; §II-B.3, Algorithm 1)
 //   - ACP-SGD (alternate compressed Power-SGD with error feedback and query
 //     reuse; §IV, Algorithms 1–2) — the paper's contribution
-//   - QSGD, TernGrad and DGC from the paper's related work
+//   - DGC from the paper's related work
 //
 // Compressors are per-tensor, per-worker state machines. They are split
 // along the communication-pattern boundary the paper's §III-C analysis draws

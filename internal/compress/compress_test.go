@@ -267,28 +267,6 @@ func TestTopKDecodeRejectsBadPayload(t *testing.T) {
 	}
 }
 
-func TestRandomKSelectsDistinct(t *testing.T) {
-	rk := NewRandomK(100, 10, false, 9)
-	grad := make([]float64, 100)
-	for i := range grad {
-		grad[i] = 1
-	}
-	blob := rk.Encode(0, grad)
-	n := len(blob) / topkPairBytes
-	if n != 10 {
-		t.Fatalf("randomk selected %d, want 10", n)
-	}
-	seen := map[uint32]bool{}
-	for i := 0; i < n; i++ {
-		ix := uint32(blob[i*topkPairBytes]) | uint32(blob[i*topkPairBytes+1])<<8 |
-			uint32(blob[i*topkPairBytes+2])<<16 | uint32(blob[i*topkPairBytes+3])<<24
-		if seen[ix] {
-			t.Fatal("duplicate index in random-k selection")
-		}
-		seen[ix] = true
-	}
-}
-
 func TestTopKCapsK(t *testing.T) {
 	tk := NewTopK(3, 100, SelectExact, false, 10)
 	if tk.K() != 3 {

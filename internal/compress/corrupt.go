@@ -43,42 +43,6 @@ func checkHeaderFinite(v float64, r int, what string) error {
 	return nil
 }
 
-// qsgdValidCodes reports whether every code byte's magnitude (low 7 bits)
-// is <= levels. Eight bytes are checked per step with a SWAR add: a byte's
-// magnitude overflows into bit 7 of mag+(127-levels) exactly when it
-// exceeds levels. levels is clamped to [1, 127] at construction, so the
-// per-byte add can never carry across lanes.
-func qsgdValidCodes(codes []byte, levels int) bool {
-	k := uint64(127-levels) * 0x0101010101010101
-	i := 0
-	for ; i+8 <= len(codes); i += 8 {
-		x := uint64(codes[i]) | uint64(codes[i+1])<<8 | uint64(codes[i+2])<<16 | uint64(codes[i+3])<<24 |
-			uint64(codes[i+4])<<32 | uint64(codes[i+5])<<40 | uint64(codes[i+6])<<48 | uint64(codes[i+7])<<56
-		if ((x&0x7f7f7f7f7f7f7f7f)+k)&0x8080808080808080 != 0 {
-			return false
-		}
-	}
-	for ; i < len(codes); i++ {
-		if int(codes[i]&0x7f) > levels {
-			return false
-		}
-	}
-	return true
-}
-
-// ternValidCodes reports whether no packed byte contains the invalid 2-bit
-// code 3 (both bits set): b & (b>>1) on the low bit of each 2-bit lane is
-// nonzero exactly for code 3. Unused tail slots are encoded as zero, so the
-// whole body is checked uniformly.
-func ternValidCodes(codes []byte) bool {
-	for _, b := range codes {
-		if b&(b>>1)&0x55 != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // finitePair rejects a non-finite sparse value. Shared by the fused
 // scatter-add decode paths: a rank that ships NaN/Inf values is poison
 // regardless of whether the bits flipped on the wire or came out of its

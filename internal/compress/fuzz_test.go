@@ -14,14 +14,14 @@ func FuzzParseSpec(f *testing.F) {
 		"topk:ratio=0.01,selection=exact",
 		"dgc:ratio=0.001,momentum=0.9",
 		"power-sgd:rank=4,reuse=false",
-		"qsgd:levels=16",
+		"acp:rank=16",
 		" sign : ",
 		"topk:",
 		"topk:ratio=",
 		"top-k:ratio=0.05",
 		"ssgd:a=b=c",
-		"terngrad",
-		"randomk:ratio=2",
+		"signsgd",
+		"topk:ratio=2",
 		"acp:RANK=3",
 		"topk:ratio=0.1,ratio=0.2",
 	} {

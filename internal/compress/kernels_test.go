@@ -312,81 +312,6 @@ func TestScatterAddPairsMatchesScalarReference(t *testing.T) {
 	}
 }
 
-func TestQSGDDecodeMatchesScalarReference(t *testing.T) {
-	forceSerial(t)
-	rng := rand.New(rand.NewSource(17))
-	const n, p = 3000, 4
-	blobs := make([][]byte, p)
-	for r := range blobs {
-		q := NewQSGD(n, 16, int64(r))
-		blobs[r] = append([]byte(nil), q.Encode(0, randGrad(rng, n))...)
-	}
-	dec := NewQSGD(n, 16, 99)
-	got := make([]float64, n)
-	if err := dec.Decode(0, blobs, got); err != nil {
-		t.Fatal(err)
-	}
-	// Scalar reference: per-element dequantization, averaged at the end.
-	want := make([]float64, n)
-	s := 16.0
-	for _, b := range blobs {
-		norm := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		for i := 0; i < n; i++ {
-			raw := b[8+i]
-			mag := float64(raw&0x7f) / s * norm
-			if raw&0x80 != 0 {
-				mag = -mag
-			}
-			want[i] += mag
-		}
-	}
-	for i := range want {
-		want[i] /= p
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1, math.Abs(want[i])) {
-			t.Fatalf("elem %d: lut %v scalar %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTernGradDecodeMatchesScalarReference(t *testing.T) {
-	forceSerial(t)
-	rng := rand.New(rand.NewSource(18))
-	const n, p = 3001, 3 // odd n exercises the ragged byte tail
-	blobs := make([][]byte, p)
-	for r := range blobs {
-		tg := NewTernGrad(n, int64(r))
-		blobs[r] = append([]byte(nil), tg.Encode(0, randGrad(rng, n))...)
-	}
-	dec := NewTernGrad(n, 99)
-	got := make([]float64, n)
-	if err := dec.Decode(0, blobs, got); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, n)
-	for _, b := range blobs {
-		scale := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		for i := 0; i < n; i++ {
-			code := (b[8+i/4] >> ((i % 4) * 2)) & 0x3
-			switch code {
-			case ternPos:
-				want[i] += scale
-			case ternNeg:
-				want[i] -= scale
-			}
-		}
-	}
-	for i := range want {
-		want[i] /= p
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1, math.Abs(want[i])) {
-			t.Fatalf("elem %d: lut %v scalar %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestEncodeDecodeAllocFree gates the pooled payload paths at 0 allocs/op
 // in steady state. Parallelism is pinned to 1: the shard dispatch itself
 // allocates its WaitGroup exactly like the matmul pool (the committed
@@ -446,38 +371,6 @@ func TestEncodeDecodeAllocFree(t *testing.T) {
 
 	dgc := NewDGC(n, n/1000, 0, true, 7)
 	check("DGC.Encode", 3, func() { dgc.Encode(0, grad) })
-
-	qsgd := NewQSGD(n, 16, 8)
-	check("QSGD.Encode", 2, func() { qsgd.Encode(0, grad) })
-
-	qsgdBlobs := make([][]byte, p)
-	for r := range qsgdBlobs {
-		enc := NewQSGD(n, 16, int64(30+r))
-		qsgdBlobs[r] = append([]byte(nil), enc.Encode(0, randGrad(rng, n))...)
-	}
-	qsgdDec := NewQSGD(n, 16, 40)
-	qsgdOut := make([]float64, n)
-	check("QSGD.Decode", 1, func() {
-		if err := qsgdDec.Decode(0, qsgdBlobs, qsgdOut); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	tern := NewTernGrad(n, 9)
-	check("TernGrad.Encode", 2, func() { tern.Encode(0, grad) })
-
-	ternBlobs := make([][]byte, p)
-	for r := range ternBlobs {
-		enc := NewTernGrad(n, int64(50+r))
-		ternBlobs[r] = append([]byte(nil), enc.Encode(0, randGrad(rng, n))...)
-	}
-	ternDec := NewTernGrad(n, 60)
-	ternOut := make([]float64, n)
-	check("TernGrad.Decode", 1, func() {
-		if err := ternDec.Decode(0, ternBlobs, ternOut); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestCompressKernelsForcedParallelRace drives every sharded kernel from
@@ -495,7 +388,6 @@ func TestCompressKernelsForcedParallelRace(t *testing.T) {
 			grad := randGrad(rng, n)
 			sign := NewSign(n, true)
 			topk := NewTopK(n, n/100, SelectSampled, true, int64(w))
-			qsgd := NewQSGD(n, 16, int64(w))
 			out := make([]float64, n)
 			for s := 0; s < steps; s++ {
 				signBlob := append([]byte(nil), sign.Encode(s, grad)...)
@@ -504,9 +396,8 @@ func TestCompressKernelsForcedParallelRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				topk.Encode(s, grad)
-				qb := append([]byte(nil), qsgd.Encode(s, grad)...)
-				if err := qsgd.Decode(s, [][]byte{qb, qb}, out); err != nil {
+				tb := append([]byte(nil), topk.Encode(s, grad)...)
+				if err := topk.Decode(s, [][]byte{tb, tb}, out); err != nil {
 					t.Error(err)
 					return
 				}
@@ -528,9 +419,6 @@ func TestWireRates(t *testing.T) {
 		{"topk:ratio=0.01", 1 << 20, 0.06, 1e-9},
 		{"topk:ratio=0.01,selection=exact", 1 << 20, 0.03, 1e-9},
 		{"dgc:ratio=0.001", 1 << 20, 0.003, 1e-9},
-		{"randomk:ratio=0.01", 1 << 20, 0.03, 1e-9},
-		{"qsgd", 1 << 20, 0.25, 1e-3},
-		{"terngrad", 1 << 20, 1.0 / 16, 1e-3},
 	}
 	for _, c := range cases {
 		spec, err := ParseSpec(c.spec)

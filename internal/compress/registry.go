@@ -16,7 +16,7 @@ const (
 	// ring all-reduce (S-SGD, ACP-SGD).
 	PatternAllReduce Pattern = iota + 1
 	// PatternAllGather marks opaque byte payloads that must be all-gathered
-	// and merged at the receiver (Sign-SGD, Top-k, QSGD, TernGrad, DGC).
+	// and merged at the receiver (Sign-SGD, Top-k, DGC).
 	PatternAllGather
 	// PatternBlocking marks interleaved compute→all-reduce chains that run
 	// after back-propagation (Power-SGD).

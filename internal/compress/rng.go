@@ -2,14 +2,14 @@ package compress
 
 import "math/rand"
 
-// Randomized encode decisions — sampled threshold selection, Random-k
-// coordinate draws, stochastic rounding — are rebased to a pure function of
-// (tensor seed, step) at the top of every encode (see stepSeed). Without
-// rebasing, the RNG stream position is cross-step state the checkpoint cannot
-// carry: a replica restored mid-run would consume a different stream than the
-// uninterrupted run and silently diverge from its peers' bit-identical
-// continuation. Rebasing makes the stream replayable from the step number
-// alone, so Stateful compressors need no RNG state in their StateVectors.
+// Top-k's sampled threshold selection, the one randomized encode decision,
+// is rebased to a pure function of (tensor seed, step) at the top of every
+// encode (see stepSeed). Without rebasing, the RNG stream position is
+// cross-step state the checkpoint cannot carry: a replica restored mid-run
+// would consume a different stream than the uninterrupted run and silently
+// diverge from its peers' bit-identical continuation. Rebasing makes the
+// stream replayable from the step number alone, so Stateful compressors need
+// no RNG state in their StateVectors.
 
 // splitmix64 is SplitMix64 (Vigna) as a rand.Source64. Unlike the stdlib
 // lagged-Fibonacci source, whose Seed refills a 607-word table, its seed is a
@@ -41,13 +41,4 @@ func stepSeed(tensorID int64, step int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-// reseed rebases a compressor RNG for the step when the source supports it.
-// The quantizers' randSource interface admits test doubles without Seed;
-// those keep their injected stream.
-func reseed(rng any, tensorID int64, step int) {
-	if s, ok := rng.(interface{ Seed(int64) }); ok {
-		s.Seed(stepSeed(tensorID, step))
-	}
 }

@@ -46,11 +46,8 @@ func TestSpecLegacySpellings(t *testing.T) {
 		"ssgd": "ssgd", "sgd": "ssgd", "s-sgd": "ssgd",
 		"sign": "sign", "signsgd": "sign", "sign-sgd": "sign",
 		"topk": "topk", "top-k": "topk",
-		"randomk": "randomk", "random-k": "randomk",
 		"power": "power", "powersgd": "power", "power-sgd": "power",
 		"acp": "acp", "acpsgd": "acp", "acp-sgd": "acp",
-		"qsgd":     "qsgd",
-		"terngrad": "terngrad", "tern": "terngrad",
 	}
 	for spelling, want := range cases {
 		spec, err := ParseSpec(spelling)
@@ -59,6 +56,16 @@ func TestSpecLegacySpellings(t *testing.T) {
 		}
 		if spec.Name != want {
 			t.Fatalf("legacy spelling %q resolved to %q, want %q", spelling, spec.Name, want)
+		}
+	}
+}
+
+// TestDeletedMethodsUnknown asserts the methods outside the paper's
+// evaluation stay out of the registry under every spelling they once had.
+func TestDeletedMethodsUnknown(t *testing.T) {
+	for _, name := range []string{"qsgd", "terngrad", "tern", "randomk", "random-k"} {
+		if _, err := Lookup(name); err == nil || !strings.Contains(err.Error(), "unknown method") {
+			t.Fatalf("Lookup(%q) = %v, want an unknown-method error", name, err)
 		}
 	}
 }
@@ -118,7 +125,6 @@ func TestResolveErrors(t *testing.T) {
 		{Spec{Name: "topk", Params: Params{"selection": "psychic"}}, "want one of exact|sampled"},
 		{Spec{Name: "acp", Params: Params{"rank": "0"}}, "want rank >= 1"},
 		{Spec{Name: "acp", Params: Params{"ef": "maybe"}}, "not a boolean"},
-		{Spec{Name: "qsgd", Params: Params{"levels": "999"}}, "want 1 <= levels <= 127"},
 		{Spec{Name: "dgc", Params: Params{"momentum": "1.5"}}, "want 0 <= momentum < 1"},
 		{Spec{Name: "nope"}, "unknown method"},
 	}

@@ -30,7 +30,7 @@ func (s *Sign) StateVectors() []StateVector {
 	return []StateVector{{Name: "ef", Data: s.err}}
 }
 
-// StateVectors returns Top-k/Random-k's error-feedback residual.
+// StateVectors returns Top-k's error-feedback residual.
 func (t *TopK) StateVectors() []StateVector {
 	return []StateVector{{Name: "ef", Data: t.err}}
 }

@@ -28,8 +28,7 @@ const (
 // transmits its k largest-magnitude coordinates of gradient+error as
 // (index, value) pairs; workers all-gather the sparse payloads and
 // scatter-add them (different workers select different coordinates, which is
-// why the payloads are not additive in transit; §III-C). The Random-k
-// baseline shares the wire format but picks coordinates uniformly.
+// why the payloads are not additive in transit; §III-C).
 //
 // The error memory doubles as the adjusted vector (err += grad, select on
 // err, zero the transmitted slots), so the EF encode path is one fused sweep
@@ -37,18 +36,16 @@ const (
 // and re-leases each call (pooled payload ownership, kernels.go); Decode is
 // the fused multi-peer scatter-add with the 1/p averaging folded in.
 type TopK struct {
-	n, k   int
-	sel    Selection
-	random bool // Random-k instead of Top-k
-	err    []float64
-	useEF  bool
-	seed   int64 // RNG rebase key; see rng.go
-	rng    *rand.Rand
+	n, k  int
+	sel   Selection
+	err   []float64
+	useEF bool
+	seed  int64 // RNG rebase key; see rng.go
+	rng   *rand.Rand
 
 	// scratch
 	picker topSelector
 	enc    []byte
-	seen   map[int]struct{} // Random-k dedup
 
 	chunkOffs []int // per-chunk byte offsets into enc (chunked encode)
 }
@@ -78,13 +75,6 @@ func NewTopK(n, k int, sel Selection, useEF bool, tensorID int64) *TopK {
 	}
 }
 
-// NewRandomK returns the Random-k contrast baseline.
-func NewRandomK(n, k int, useEF bool, tensorID int64) *TopK {
-	t := NewTopK(n, k, SelectExact, useEF, tensorID)
-	t.random = true
-	return t
-}
-
 // K returns the per-step coordinate budget.
 func (t *TopK) K() int { return t.k }
 
@@ -97,7 +87,7 @@ func (t *TopK) Encode(step int, grad []float64) []byte {
 	if len(grad) != t.n {
 		panic(fmt.Sprintf("compress: TopK.Encode length %d, want %d", len(grad), t.n))
 	}
-	reseed(t.rng, t.seed, step)
+	t.rng.Seed(stepSeed(t.seed, step))
 	src := t.foldEF(grad)
 	selected := t.selectFrom(src)
 	t.serialize(src, selected)
@@ -144,37 +134,10 @@ func (t *TopK) foldEF(grad []float64) []float64 {
 // consumes is identical whichever encode path calls it — the root of the
 // chunked path's bit-identity.
 func (t *TopK) selectFrom(src []float64) []int {
-	switch {
-	case t.random:
-		return t.selectRandom()
-	case t.sel == SelectSampled:
+	if t.sel == SelectSampled {
 		return t.picker.sampled(src, t.k)
-	default:
-		return t.picker.exact(src, t.k)
 	}
-}
-
-// selectRandom picks k distinct coordinates uniformly (Random-k). All
-// workers share the tensor RNG seed but advance it independently, so
-// selections differ across steps; coordinate overlap across workers is not
-// required for correctness because payloads carry explicit indices.
-func (t *TopK) selectRandom() []int {
-	n := t.n
-	t.picker.idx = grownInts(t.picker.idx, t.k)
-	out := t.picker.idx[:0]
-	if t.seen == nil {
-		t.seen = make(map[int]struct{}, t.k)
-	}
-	clear(t.seen)
-	for len(out) < t.k && len(out) < n {
-		i := t.rng.Intn(n)
-		if _, dup := t.seen[i]; dup {
-			continue
-		}
-		t.seen[i] = struct{}{}
-		out = append(out, i)
-	}
-	return out
+	return t.picker.exact(src, t.k)
 }
 
 // ChunkBounds partitions the tensor into m near-equal pipeline chunks
@@ -201,7 +164,7 @@ func (t *TopK) encodeChunkedPrepass(step int, grad []float64, bounds []int) {
 	if len(grad) != t.n {
 		panic(fmt.Sprintf("compress: TopK.EncodeChunk length %d, want %d", len(grad), t.n))
 	}
-	reseed(t.rng, t.seed, step)
+	t.rng.Seed(stepSeed(t.seed, step))
 	src := t.foldEF(grad)
 	selected := t.selectFrom(src)
 	sort.Ints(selected)
@@ -400,54 +363,6 @@ func (topkFactory) WireRate(spec Spec, _ int) float64 {
 	return rate
 }
 
-// randomkDefaults is the single source of Random-k's default params.
-var randomkDefaults = Params{
-	"ratio": defaultRatio,
-	"ef":    "true",
-}
-
-// randomkFactory registers the Random-k contrast baseline.
-type randomkFactory struct{}
-
-func (randomkFactory) Info() MethodInfo {
-	return MethodInfo{
-		Name:     "randomk",
-		Aliases:  []string{"random-k"},
-		Pattern:  PatternAllGather,
-		Scope:    ScopeBuffer,
-		Defaults: randomkDefaults,
-	}
-}
-
-func (randomkFactory) Validate(spec Spec) error {
-	p := spec.Params.withDefaults(randomkDefaults)
-	if _, err := ratioParam(p); err != nil {
-		return err
-	}
-	_, err := p.Bool("ef", true)
-	return err
-}
-
-func (randomkFactory) New(spec Spec, t Tensor) (any, error) {
-	p := spec.Params.withDefaults(randomkDefaults)
-	ratio, err := ratioParam(p)
-	if err != nil {
-		return nil, err
-	}
-	ef, err := p.Bool("ef", true)
-	if err != nil {
-		return nil, err
-	}
-	n := t.Len()
-	return NewRandomK(n, int(ratio*float64(n)), ef, t.MixedSeed(1<<20)), nil
-}
-
-// WireRate reports Random-k's expected wire compression rate.
-func (randomkFactory) WireRate(spec Spec, _ int) float64 {
-	return sparseWireRate(spec.Params.withDefaults(randomkDefaults))
-}
-
 func init() {
 	Register(topkFactory{})
-	Register(randomkFactory{})
 }

@@ -3,8 +3,8 @@
 // warmup + step-decay schedule (§V-A), wait-free back-propagation driven by
 // per-parameter gradient hooks, tensor fusion with byte-budgeted buffers
 // (compressed buffers scaled by the compression rate, §IV-B), and one
-// aggregation strategy per method (S-SGD, Sign-SGD, Top-k, Random-k,
-// Power-SGD, ACP-SGD).
+// aggregation strategy per method (S-SGD, Sign-SGD, Top-k, Power-SGD,
+// ACP-SGD).
 package train
 
 import (
